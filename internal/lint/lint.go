@@ -193,12 +193,14 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 
 // HotPathPackages is the designated allocation-free zone: the
 // bit-parallel kernel packages whose inner loops are the paper's
-// contribution. hotalloc runs only here (ROADMAP item 1 pins the
-// steady-state allocation behaviour of these packages).
+// contribution, plus the seeding and chaining loops every mapped read
+// runs through before the kernel. hotalloc runs only here (ROADMAP
+// item 1 pins the steady-state allocation behaviour of these packages).
 var HotPathPackages = []string{
 	"genasm/internal/core",
 	"genasm/internal/bitvec",
 	"genasm/internal/dna",
+	"genasm/internal/minimap",
 }
 
 // Default returns the standard genasm analyzer suite, with hotalloc

@@ -3,6 +3,7 @@ package minimap
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"genasm/internal/dna"
 )
@@ -39,49 +40,81 @@ func DefaultChainOpts() ChainOpts {
 	return ChainOpts{MaxGap: 5000, MaxLookback: 64, MinScore: 40, MinAnchors: 3, All: true}
 }
 
-// chainStrand runs the minimap2 chaining DP over one strand's anchors.
-func chainStrand(a []anchor, k int, opt ChainOpts, rev bool) []Chain {
+// scratch holds one call's working buffers. Calls take one from
+// scratchPool and return it, so steady-state seeding and chaining
+// allocate nothing while the Index itself stays read-only and shared.
+type scratch struct {
+	enc      []byte // LocateRaw's encoded read
+	ring     []kmerCand
+	mins     []Minimizer
+	fwd, rev []anchor
+	score    []float64
+	prev     []int32
+	order    []int
+	used     []bool
+	chains   []Chain
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// resize returns buf with length n, reallocating only to grow.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// chainStrand runs the minimap2 chaining DP over one strand's anchors and
+// appends the chains it extracts to dst.
+func chainStrand(dst []Chain, a []anchor, k int, opt ChainOpts, rev bool, s *scratch) []Chain {
 	n := len(a)
 	if n == 0 {
-		return nil
+		return dst
 	}
-	score := make([]float64, n)
-	prev := make([]int32, n)
+	s.score = resize(s.score, n)
+	s.prev = resize(s.prev, n)
+	score, prev := s.score, s.prev
 	for i := 0; i < n; i++ {
-		score[i] = float64(k)
-		prev[i] = -1
-		lo := i - opt.MaxLookback
-		if lo < 0 {
-			lo = 0
-		}
+		best, from := float64(k), int32(-1)
+		lo := max(i-opt.MaxLookback, 0)
 		for j := i - 1; j >= lo; j-- {
 			dt := int(a[i].tpos - a[j].tpos)
+			if dt > opt.MaxGap {
+				break // anchors are sorted by tpos, so dt only grows
+			}
 			dr := int(a[i].rpos - a[j].rpos)
-			if dr <= 0 || dt <= 0 {
+			if dr <= 0 || dt <= 0 || dr > opt.MaxGap {
 				continue
 			}
-			if dt > opt.MaxGap || dr > opt.MaxGap {
+			match := float64(min(dr, dt, k))
+			// The gap cost is >= 0 and float rounding is monotone, so a
+			// predecessor that cannot win even without it never wins.
+			if score[j]+match <= best {
 				continue
 			}
 			dd := dt - dr
 			if dd < 0 {
 				dd = -dd
 			}
-			gain := float64(min(dr, dt, k)) - gapCost(dd, k)
-			if s := score[j] + gain; s > score[i] {
-				score[i] = s
-				prev[i] = int32(j)
+			if sc := score[j] + (match - gapCost(dd, k)); sc > best {
+				best, from = sc, int32(j)
 			}
 		}
+		score[i], prev[i] = best, from
 	}
-	// Extract chains best-first; each anchor belongs to one chain.
-	order := make([]int, n)
+	// Extract chains best-first; each anchor belongs to one chain. Ties
+	// in score are broken by sort.Slice's fixed visiting order, which
+	// therefore decides the output and must not change.
+	s.order = resize(s.order, n)
+	order := s.order
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(x, y int) bool { return score[order[x]] > score[order[y]] })
-	used := make([]bool, n)
-	var chains []Chain
+	s.used = resize(s.used, n)
+	used := s.used
+	clear(used)
 	for _, end := range order {
 		if used[end] || score[end] < opt.MinScore {
 			continue
@@ -98,7 +131,8 @@ func chainStrand(a []anchor, k int, opt ChainOpts, rev bool) []Chain {
 		if cnt < opt.MinAnchors {
 			continue
 		}
-		chains = append(chains, Chain{
+		//lint:allow hotalloc appends into the pooled chain buffer; amortized to zero across reads
+		dst = append(dst, Chain{
 			Score:     score[end],
 			ReadStart: int(a[last].rpos),
 			ReadEnd:   int(a[end].rpos) + k,
@@ -111,24 +145,49 @@ func chainStrand(a []anchor, k int, opt ChainOpts, rev bool) []Chain {
 			break
 		}
 	}
-	return chains
+	return dst
 }
+
+// halfLog2 tabulates gapCost's log term, 0.5*log2(dd+1), for every dd up
+// to the default MaxGap. Each entry is computed by the same expression
+// gapCost would evaluate, so the lookup is bit-identical.
+var halfLog2 = func() []float64 {
+	t := make([]float64, DefaultChainOpts().MaxGap+1)
+	for dd := range t {
+		t[dd] = 0.5 * math.Log2(float64(dd)+1)
+	}
+	return t
+}()
 
 // gapCost is minimap2's concave chaining gap penalty.
 func gapCost(dd, k int) float64 {
 	if dd == 0 {
 		return 0
 	}
-	return 0.01*float64(k)*float64(dd) + 0.5*math.Log2(float64(dd)+1)
+	lg := 0.0
+	if dd < len(halfLog2) {
+		lg = halfLog2[dd]
+	} else {
+		lg = 0.5 * math.Log2(float64(dd)+1)
+	}
+	return 0.01*float64(k)*float64(dd) + lg
 }
 
 // Chains seeds and chains a read (base codes) against the index, returning
 // all chains on both strands, best first.
 func (ix *Index) Chains(read []byte, opt ChainOpts) []Chain {
-	fwd, rev := ix.anchors(read)
-	chains := chainStrand(fwd, ix.K, opt, false)
-	chains = append(chains, chainStrand(rev, ix.K, opt, true)...)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return append([]Chain(nil), ix.chains(read, opt, s)...)
+}
+
+// chains is Chains into s.chains.
+func (ix *Index) chains(read []byte, opt ChainOpts, s *scratch) []Chain {
+	fwd, rev := ix.anchors(read, s)
+	chains := chainStrand(s.chains[:0], fwd, ix.K, opt, false, s)
+	chains = chainStrand(chains, rev, ix.K, opt, true, s)
 	sort.Slice(chains, func(i, j int) bool { return chains[i].Score > chains[j].Score })
+	s.chains = chains
 	return chains
 }
 
@@ -146,7 +205,24 @@ type Candidate struct {
 // head is NOT flanked: GenASM-style aligners treat the region start as the
 // alignment start and only the tail as free slack.
 func (ix *Index) Locate(read []byte, opt ChainOpts, flank int) []Candidate {
-	chains := ix.Chains(read, opt)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return ix.locate(read, opt, flank, s)
+}
+
+// LocateRaw is Locate on a raw ASCII read.
+func (ix *Index) LocateRaw(read []byte, opt ChainOpts, flank int) []Candidate {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.enc = resize(s.enc, len(read))
+	for i, b := range read {
+		s.enc[i] = dna.Encode(b)
+	}
+	return ix.locate(s.enc, opt, flank, s)
+}
+
+func (ix *Index) locate(read []byte, opt ChainOpts, flank int, s *scratch) []Candidate {
+	chains := ix.chains(read, opt, s)
 	out := make([]Candidate, 0, len(chains))
 	for _, c := range chains {
 		start := c.RefStart - c.ReadStart
@@ -160,12 +236,8 @@ func (ix *Index) Locate(read []byte, opt ChainOpts, flank int) []Candidate {
 		if end <= start {
 			continue
 		}
+		//lint:allow hotalloc out is presized to len(chains), so this never grows
 		out = append(out, Candidate{RefStart: start, RefEnd: end, RevComp: c.RevComp, Score: c.Score})
 	}
 	return out
-}
-
-// LocateRaw is Locate on a raw ASCII read.
-func (ix *Index) LocateRaw(read []byte, opt ChainOpts, flank int) []Candidate {
-	return ix.Locate(dna.EncodeSeq(read), opt, flank)
 }

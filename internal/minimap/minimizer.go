@@ -37,9 +37,12 @@ func hash64(key, mask uint64) uint64 {
 // invalidHash marks strand-ambiguous k-mers, which are never selected.
 const invalidHash = ^uint64(0)
 
+// kmerCand is one valid k-mer in the sliding window; idx counts valid
+// k-mers from the start of the sequence.
 type kmerCand struct {
 	hash uint64
 	pos  int32
+	idx  int32
 	rev  bool
 }
 
@@ -48,15 +51,37 @@ type kmerCand struct {
 // are skipped (strand-ambiguous), both as in minimap2. Every window of w
 // consecutive valid k-mers contributes at least one minimizer.
 func Minimizers(seq []byte, k, w int) []Minimizer {
+	var ring []kmerCand
+	return appendMinimizers(nil, seq, k, w, &ring)
+}
+
+// appendMinimizers appends the minimizers of seq to dst. K-mers are
+// hashed as the scan reaches them and only the last w are kept, in *ring,
+// a power-of-two ring buffer the caller may reuse across calls. The
+// window minimum (the rightmost one among equal hashes) is carried from
+// window to window and rescanned only when it slides out.
+func appendMinimizers(dst []Minimizer, seq []byte, k, w int, ring *[]kmerCand) []Minimizer {
 	if k < 1 || k > 28 || w < 1 || len(seq) < k {
-		return nil
+		return dst
 	}
+	size := 1
+	for size < min(w, len(seq)-k+1) {
+		size <<= 1
+	}
+	if cap(*ring) < size {
+		*ring = make([]kmerCand, size)
+	}
+	win := (*ring)[:size]
+	rmask := size - 1
+
 	mask := uint64(1)<<(2*uint(k)) - 1
 	shift := 2 * uint(k-1)
 	var fwd, rev uint64
 	valid := 0
-
-	cands := make([]kmerCand, 0, len(seq))
+	n := 0 // valid k-mers seen so far
+	var cur kmerCand
+	first := len(dst)
+	lastEmitted := int32(-1)
 	for i := 0; i < len(seq); i++ {
 		b := seq[i]
 		if b >= 4 {
@@ -70,49 +95,38 @@ func Minimizers(seq []byte, k, w int) []Minimizer {
 		if valid < k {
 			continue
 		}
-		pos := int32(i - k + 1)
+		// The canonical k-mer is the smaller strand; min and the
+		// comparison compile without a branch, which the random strand
+		// would mispredict half the time.
+		c := kmerCand{hash: hash64(min(fwd, rev), mask), pos: int32(i - k + 1), idx: int32(n), rev: rev < fwd}
 		if fwd == rev {
-			cands = append(cands, kmerCand{hash: invalidHash, pos: pos})
-			continue
+			c.hash = invalidHash
 		}
-		h, r := fwd, false
-		if rev < fwd {
-			h, r = rev, true
-		}
-		cands = append(cands, kmerCand{hash: hash64(h, mask), pos: pos, rev: r})
-	}
-
-	// Slide a window of w consecutive valid k-mers with a monotonic deque.
-	var out []Minimizer
-	deque := make([]kmerCand, 0, w+1)
-	lastEmitted := int32(-1)
-	for i, c := range cands {
-		for len(deque) > 0 && deque[len(deque)-1].hash >= c.hash {
-			deque = deque[:len(deque)-1]
-		}
-		deque = append(deque, c)
-		lo := i - w + 1
-		if lo < 0 {
-			lo = 0
-		}
-		for deque[0].pos < cands[lo].pos {
-			deque = deque[1:]
-		}
-		if i >= w-1 {
-			m := deque[0]
-			if m.hash != invalidHash && m.pos != lastEmitted {
-				lastEmitted = m.pos
-				out = append(out, Minimizer{Hash: m.hash, Pos: m.pos, Rev: m.rev})
+		win[n&rmask] = c
+		switch {
+		case n == 0 || c.hash <= cur.hash:
+			cur = c
+		case int(cur.idx) <= n-w:
+			cur = win[(n-w+1)&rmask]
+			for j := n - w + 2; j <= n; j++ {
+				if e := win[j&rmask]; e.hash <= cur.hash {
+					cur = e
+				}
 			}
 		}
+		if n >= w-1 && cur.hash != invalidHash && cur.pos != lastEmitted {
+			lastEmitted = cur.pos
+			//lint:allow hotalloc appends into the caller's reused minimizer buffer; amortized to zero across reads
+			dst = append(dst, Minimizer{Hash: cur.hash, Pos: cur.pos, Rev: cur.rev})
+		}
+		n++
 	}
 	// Sequences with fewer than w valid k-mers still seed with their
 	// single window minimum.
-	if len(out) == 0 && len(deque) > 0 && deque[0].hash != invalidHash {
-		m := deque[0]
-		out = append(out, Minimizer{Hash: m.hash, Pos: m.pos, Rev: m.rev})
+	if len(dst) == first && n > 0 && cur.hash != invalidHash {
+		dst = append(dst, Minimizer{Hash: cur.hash, Pos: cur.pos, Rev: cur.rev})
 	}
-	return out
+	return dst
 }
 
 // MinimizersRaw is Minimizers on a raw ASCII sequence.
