@@ -21,8 +21,8 @@ type singlePairAligner interface {
 	alignOne(ctx context.Context, p Pair) (Result, error)
 }
 
-// cpuBackend pools per-goroutine Aligners (the kernels keep scratch, so
-// an Aligner is single-goroutine; the pool amortizes construction across
+// cpuBackend pools per-goroutine aligners (the kernels keep scratch, so
+// an aligner is single-goroutine; the pool amortizes construction across
 // calls instead of rebuilding one per AlignBatch worker).
 type cpuBackend struct {
 	threads int
@@ -33,12 +33,12 @@ type cpuBackend struct {
 }
 
 func newCPUBackend(cfg Config, threads int) (*cpuBackend, error) {
-	if _, err := New(cfg); err != nil { // validate eagerly, once
+	if _, err := newAligner(cfg); err != nil { // validate eagerly, once
 		return nil, err
 	}
 	b := &cpuBackend{threads: threads}
 	b.pool.New = func() any {
-		a, err := New(cfg)
+		a, err := newAligner(cfg)
 		if err != nil {
 			panic(err) // unreachable: cfg validated in newCPUBackend
 		}
@@ -65,7 +65,7 @@ func (b *cpuBackend) alignOne(ctx context.Context, p Pair) (Result, error) {
 	// a measure of AlignBatch executions, so pairs-per-batch ratios from
 	// Stats keep meaning batching efficiency.
 	b.pairs.Add(1)
-	a := b.pool.Get().(*Aligner)
+	a := b.pool.Get().(*aligner)
 	defer b.pool.Put(a)
 	return a.Align(p.Query, p.Ref)
 }
@@ -82,7 +82,7 @@ func (b *cpuBackend) AlignBatch(ctx context.Context, _ Config, pairs []Pair) ([]
 	threads := min(b.threads, len(pairs))
 	results := make([]Result, len(pairs))
 	if threads <= 1 {
-		a := b.pool.Get().(*Aligner)
+		a := b.pool.Get().(*aligner)
 		defer b.pool.Put(a)
 		for i := range pairs {
 			if err := ctx.Err(); err != nil {
@@ -110,7 +110,7 @@ func (b *cpuBackend) AlignBatch(ctx context.Context, _ Config, pairs []Pair) ([]
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			a := b.pool.Get().(*Aligner)
+			a := b.pool.Get().(*aligner)
 			defer b.pool.Put(a)
 			for i := range jobs {
 				if err := ctx.Err(); err != nil {
@@ -151,7 +151,6 @@ func (b *cpuBackend) AlignBatch(ctx context.Context, _ Config, pairs []Pair) ([]
 // launch boundaries, not within one.
 type gpuBackend struct {
 	gcfg gpualign.Config
-	pen  cigar.AffinePenalties
 
 	batches atomic.Uint64
 	pairs   atomic.Uint64
@@ -161,7 +160,7 @@ type gpuBackend struct {
 	has  bool
 }
 
-func newGPUBackend(cfg Config, blocksPerSM int) (*gpuBackend, error) {
+func newGPUBackend(cfg Config) (*gpuBackend, error) {
 	gcfg := gpualign.DefaultConfig(gpualign.Improved)
 	switch cfg.Algorithm {
 	case GenASM:
@@ -174,17 +173,14 @@ func newGPUBackend(cfg Config, blocksPerSM int) (*gpuBackend, error) {
 		return nil, fmt.Errorf("genasm: ablation toggles are CPU-only")
 	}
 	gcfg.W, gcfg.O, gcfg.InitialK = cfg.WindowSize, cfg.Overlap, cfg.ErrorK
-	if blocksPerSM > 0 {
-		gcfg.TargetBlocksPerSM = blocksPerSM
-	}
 	gcfg.Device = gpu.A6000()
 	// Validate the window geometry eagerly with a throwaway launch config
 	// check: the same Config constructor the CPU path uses.
-	if _, err := New(Config{Algorithm: cfg.Algorithm, WindowSize: cfg.WindowSize,
+	if _, err := newAligner(Config{Algorithm: cfg.Algorithm, WindowSize: cfg.WindowSize,
 		Overlap: cfg.Overlap, ErrorK: cfg.ErrorK}); err != nil {
 		return nil, err
 	}
-	return &gpuBackend{gcfg: gcfg, pen: cfg.penalties()}, nil
+	return &gpuBackend{gcfg: gcfg}, nil
 }
 
 func (b *gpuBackend) Capabilities() Capabilities {
@@ -223,7 +219,7 @@ func (b *gpuBackend) AlignBatch(ctx context.Context, _ Config, pairs []Pair) ([]
 	for i, r := range batch.Results {
 		results[i] = Result{
 			Distance:    r.Distance,
-			Score:       r.Cigar.AffineScore(b.pen),
+			Score:       r.Cigar.AffineScore(cigar.DefaultAffine),
 			Cigar:       r.Cigar.String(),
 			RefConsumed: r.RefConsumed,
 		}

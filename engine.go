@@ -8,34 +8,6 @@ import (
 	"sync"
 )
 
-// BackendKind enumerates the two built-in leaf backends.
-//
-// Deprecated: backends are now resolved by registered name (see Register
-// and WithBackendName); BackendKind remains only so pre-registry callers
-// keep compiling. It cannot name the "multi" composite or any
-// third-party backend.
-type BackendKind int
-
-const (
-	// CPU executes alignments on pooled per-goroutine aligners.
-	CPU BackendKind = iota
-	// GPU executes alignments on the simulated SIMT device (an NVIDIA
-	// A6000 model; see internal/gpu). Functional results are bit-identical
-	// to the CPU backend for the same configuration.
-	GPU
-)
-
-func (k BackendKind) String() string {
-	switch k {
-	case CPU:
-		return "cpu"
-	case GPU:
-		return "gpu"
-	default:
-		return fmt.Sprintf("backend(%d)", int(k))
-	}
-}
-
 // engineSettings collects everything the functional options configure.
 type engineSettings struct {
 	cfg         Config
@@ -44,7 +16,6 @@ type engineSettings struct {
 	mapper      *Mapper
 	maxQueryLen int
 	allCands    bool
-	blocksPerSM int
 }
 
 // Option configures an Engine; see the With* constructors.
@@ -65,36 +36,12 @@ func WithBackendName(name string) Option {
 	return func(s *engineSettings) { s.backendName = name }
 }
 
-// WithBackend selects the execution backend by enum kind.
-//
-// Deprecated: use WithBackendName, which can also name registered
-// third-party and composite backends. This shim resolves k.String()
-// through the same registry.
-func WithBackend(k BackendKind) Option {
-	return WithBackendName(k.String())
-}
-
 // WithWindow sets the GenASM window geometry: window size w, overlap o and
 // per-window error budget k (zero values take the paper defaults 64/24/12).
 func WithWindow(w, o, k int) Option {
 	return func(s *engineSettings) {
 		s.cfg.WindowSize, s.cfg.Overlap, s.cfg.ErrorK = w, o, k
 	}
-}
-
-// WithScoring sets the affine-gap scoring parameters used for Result.Score
-// (and by the KSW2/SWG aligners): match bonus, mismatch penalty, gap-open
-// and gap-extend penalties. Zero values take the minimap2 defaults 2/4/4/2.
-func WithScoring(match, mismatch, gapOpen, gapExtend int) Option {
-	return func(s *engineSettings) {
-		s.cfg.MatchScore, s.cfg.MismatchPenalty = match, mismatch
-		s.cfg.GapOpen, s.cfg.GapExtend = gapOpen, gapExtend
-	}
-}
-
-// WithBandWidth bounds the KSW2 band (0 = minimap2's 500).
-func WithBandWidth(n int) Option {
-	return func(s *engineSettings) { s.cfg.BandWidth = n }
 }
 
 // WithAblation disables individual GenASM improvements for ablation
@@ -130,18 +77,6 @@ func WithMaxQueryLen(n int) Option {
 	return func(s *engineSettings) { s.maxQueryLen = n }
 }
 
-// WithGPUBlocksPerSM sets the GPU backend's target blocks per SM,
-// trading occupancy against per-block shared memory (default 8).
-func WithGPUBlocksPerSM(n int) Option {
-	return func(s *engineSettings) { s.blocksPerSM = n }
-}
-
-// WithConfig seeds every aligner parameter from a legacy Config; later
-// options still apply on top. A migration bridge for pre-Engine callers.
-func WithConfig(cfg Config) Option {
-	return func(s *engineSettings) { s.cfg = cfg }
-}
-
 // Engine is a concurrency-safe, context-aware alignment service. One
 // Engine can serve any number of concurrent AlignBatch / MapAlign /
 // Align calls; construction validates the whole configuration eagerly,
@@ -174,10 +109,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	if s.backendName == "" {
 		s.backendName = "cpu"
 	}
-	be, err := openBackend(s.backendName, cfg, BackendOptions{
-		Threads:        s.threads,
-		GPUBlocksPerSM: s.blocksPerSM,
-	})
+	be, err := openBackend(s.backendName, cfg, BackendOptions{Threads: s.threads})
 	if err != nil {
 		return nil, err
 	}
@@ -212,18 +144,6 @@ func (e *Engine) BackendName() string { return e.beName }
 // special-casing backend kinds.
 func (e *Engine) Capabilities() Capabilities { return e.caps }
 
-// Backend reports which built-in backend the engine runs on.
-//
-// Deprecated: use BackendName; the enum cannot represent composite or
-// third-party backends (anything that is not the built-in GPU backend
-// reports CPU).
-func (e *Engine) Backend() BackendKind {
-	if e.beName == "gpu" {
-		return GPU
-	}
-	return CPU
-}
-
 // MaxQueryLen reports the engine's effective query-length limit (0 =
 // unlimited): the tighter of the WithMaxQueryLen guardrail and the
 // backend's Capabilities.MaxQueryLen. Batch admission layers use it to
@@ -233,33 +153,24 @@ func (e *Engine) MaxQueryLen() int { return e.maxQueryLen }
 
 // Fingerprint returns a deterministic string identifying every parameter
 // that affects this engine's observable behaviour: algorithm, window
-// geometry, ablation toggles, scoring, band width, backend, candidate
-// policy, and the MaxQueryLen admission guardrail (which decides whether
-// a query errors instead of aligning). Two engines with equal
+// geometry, ablation toggles, backend, candidate policy, and the
+// MaxQueryLen admission guardrail (which decides whether a query errors
+// instead of aligning). Two engines with equal
 // fingerprints produce bit-identical Results for the same input, so the
 // fingerprint is a safe result-cache key component (the serving layer
 // relies on this).
 func (e *Engine) Fingerprint() string {
 	c := e.cfg
-	return fmt.Sprintf("algo=%s;w=%d;o=%d;k=%d;abl=%t%t%t;sc=%d/%d/%d/%d;band=%d;be=%s;all=%t;maxq=%d",
+	return fmt.Sprintf("algo=%s;w=%d;o=%d;k=%d;abl=%t%t%t;be=%s;all=%t;maxq=%d",
 		c.Algorithm, c.WindowSize, c.Overlap, c.ErrorK,
 		c.DisableSENE, c.DisableDENT, c.DisableET,
-		c.MatchScore, c.MismatchPenalty, c.GapOpen, c.GapExtend,
-		c.BandWidth, e.beName, e.allCands, e.maxQueryLen)
+		e.beName, e.allCands, e.maxQueryLen)
 }
 
 // BackendStats returns the backend's cumulative operational snapshot:
 // batches and pairs executed, per-child breakdowns for composite
 // backends, and the most recent device launch when one exists.
 func (e *Engine) BackendStats() BackendStats { return e.be.Stats() }
-
-// GPUStats returns the simulated-device stats of the most recent launch.
-// The second return is false on a backend with no device (or device-backed
-// child) and before any launch.
-//
-// Deprecated: use BackendStats, which is generic across backends; this
-// shim returns the first device launch found in that snapshot.
-func (e *Engine) GPUStats() (GPUStats, bool) { return e.be.Stats().findGPU() }
 
 func (e *Engine) checkQuery(q []byte) error {
 	if e.maxQueryLen > 0 && len(q) > e.maxQueryLen {

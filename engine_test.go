@@ -25,11 +25,11 @@ func TestEngineBackendParity(t *testing.T) {
 	ctx := context.Background()
 	pairs := testPairs(11, 24, 400, 0.1)
 	for _, algo := range []Algorithm{GenASM, GenASMUnimproved} {
-		cpuEng, err := NewEngine(WithAlgorithm(algo), WithBackend(CPU))
+		cpuEng, err := NewEngine(WithAlgorithm(algo), WithBackendName("cpu"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		gpuEng, err := NewEngine(WithAlgorithm(algo), WithBackend(GPU))
+		gpuEng, err := NewEngine(WithAlgorithm(algo), WithBackendName("gpu"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,13 +54,13 @@ func TestEngineAlignBatchContextCancellation(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	small := testPairs(12, 4, 200, 0.1)
-	for _, kind := range []BackendKind{CPU, GPU} {
-		eng, err := NewEngine(WithBackend(kind))
+	for _, name := range []string{"cpu", "gpu"} {
+		eng, err := NewEngine(WithBackendName(name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.AlignBatch(cancelled, small); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v backend: err = %v, want context.Canceled", kind, err)
+			t.Fatalf("%s backend: err = %v, want context.Canceled", name, err)
 		}
 	}
 
@@ -90,10 +90,10 @@ func TestEngineOptionValidation(t *testing.T) {
 		{"unknown algorithm", []Option{WithAlgorithm("bwa")}},
 		{"overlap >= window", []Option{WithWindow(16, 20, 4)}},
 		{"error budget > window", []Option{WithWindow(64, 24, 70)}},
-		{"gpu kernel for edlib", []Option{WithBackend(GPU), WithAlgorithm(Edlib)}},
-		{"gpu ablation", []Option{WithBackend(GPU), WithAblation(false, false, true)}},
+		{"gpu kernel for edlib", []Option{WithBackendName("gpu"), WithAlgorithm(Edlib)}},
+		{"gpu ablation", []Option{WithBackendName("gpu"), WithAblation(false, false, true)}},
 		{"dent without sene", []Option{WithAblation(true, false, false)}},
-		{"unknown backend", []Option{WithBackend(BackendKind(99))}},
+		{"unknown backend", []Option{WithBackendName("tpu")}},
 	}
 	for _, tc := range cases {
 		if _, err := NewEngine(tc.opts...); err == nil {
@@ -276,69 +276,74 @@ func TestEngineGPUStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cpuEng.GPUStats(); ok {
-		t.Fatal("CPU backend reported GPU stats")
+	if _, err := cpuEng.AlignBatch(ctx, pairs); err != nil {
+		t.Fatal(err)
 	}
-	gpuEng, err := NewEngine(WithBackend(GPU))
+	if st := cpuEng.BackendStats().GPU; st != nil {
+		t.Fatalf("CPU backend reported GPU stats %+v", st)
+	}
+	gpuEng, err := NewEngine(WithBackendName("gpu"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := gpuEng.GPUStats(); ok {
-		t.Fatal("GPU stats before any launch")
+	if st := gpuEng.BackendStats().GPU; st != nil {
+		t.Fatalf("GPU stats before any launch: %+v", st)
 	}
 	if _, err := gpuEng.AlignBatch(ctx, pairs); err != nil {
 		t.Fatal(err)
 	}
-	st, ok := gpuEng.GPUStats()
-	if !ok || st.Seconds <= 0 || st.PairsPerSecond <= 0 || st.Device == "" {
-		t.Fatalf("stats %+v ok=%v", st, ok)
+	st := gpuEng.BackendStats().GPU
+	if st == nil || st.Seconds <= 0 || st.PairsPerSecond <= 0 || st.Device == "" ||
+		st.MakespanCycles == 0 || st.BlocksPerSM <= 0 || st.SharedBlocks+st.SpilledBlocks != len(pairs) {
+		t.Fatalf("stats %+v", st)
 	}
 }
 
-// TestDeprecatedShimsMatchEngine pins the compatibility contract: the old
-// entry points must produce exactly what the Engine produces.
-func TestDeprecatedShimsMatchEngine(t *testing.T) {
-	ctx := context.Background()
-	pairs := testPairs(16, 10, 300, 0.1)
-
-	old, err := AlignBatch(Config{Algorithm: GenASM}, pairs, 2)
+// TestEngineFingerprint pins the result-cache key: changing any one
+// setting that can alter a Result or an admission decision must change
+// the fingerprint, and settings that cannot must leave it alone.
+func TestEngineFingerprint(t *testing.T) {
+	registerCappedBackend()
+	mapper, err := NewMapper(GenerateGenome(20_000, 17))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(WithAlgorithm(GenASM), WithThreads(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, err := eng.AlignBatch(ctx, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pairs {
-		if old[i] != now[i] {
-			t.Fatalf("pair %d: shim %+v != engine %+v", i, old[i], now[i])
+	fp := func(opts []Option) string {
+		t.Helper()
+		eng, err := NewEngine(opts...)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return eng.Fingerprint()
 	}
-
-	oldGPU, oldSt, err := AlignBatchGPU(GPUConfig{}, pairs)
-	if err != nil {
-		t.Fatal(err)
+	capped := WithBackendName("capped") // structural MaxQueryLen 40
+	cases := []struct {
+		name string
+		a, b []Option
+		same bool
+	}{
+		{"algorithm", nil, []Option{WithAlgorithm(GenASMUnimproved)}, false},
+		{"window w", []Option{WithWindow(64, 24, 12)}, []Option{WithWindow(96, 24, 12)}, false},
+		{"overlap o", nil, []Option{WithWindow(64, 16, 12)}, false},
+		{"error budget k", nil, []Option{WithWindow(64, 24, 8)}, false},
+		{"ablation SENE", []Option{WithAblation(false, true, false)}, []Option{WithAblation(true, true, false)}, false},
+		{"ablation DENT", nil, []Option{WithAblation(false, true, false)}, false},
+		{"ablation ET", nil, []Option{WithAblation(false, false, true)}, false},
+		{"backend", nil, []Option{WithBackendName("gpu")}, false},
+		{"all candidates", nil, []Option{WithAllCandidates(true)}, false},
+		{"max query len", nil, []Option{WithMaxQueryLen(100)}, false},
+		{"max query len under a backend cap", []Option{capped}, []Option{capped, WithMaxQueryLen(30)}, false},
+		// The key is the effective limit: a guardrail looser than the
+		// backend's cap is tightened to it and changes nothing.
+		{"guardrail looser than the backend cap", []Option{capped}, []Option{capped, WithMaxQueryLen(100)}, true},
+		{"threads", []Option{WithThreads(1)}, []Option{WithThreads(7)}, true},
+		{"mapper", nil, []Option{WithMapper(mapper)}, true},
 	}
-	gpuEng, err := NewEngine(WithBackend(GPU))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nowGPU, err := gpuEng.AlignBatch(ctx, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pairs {
-		if oldGPU[i] != nowGPU[i] {
-			t.Fatalf("pair %d: gpu shim %+v != engine %+v", i, oldGPU[i], nowGPU[i])
+	for _, tc := range cases {
+		a, b := fp(tc.a), fp(tc.b)
+		if (a == b) != tc.same {
+			t.Errorf("%s: fingerprints %q and %q, want same=%v", tc.name, a, b, tc.same)
 		}
-	}
-	newSt, ok := gpuEng.GPUStats()
-	if !ok || oldSt.MakespanCycles != newSt.MakespanCycles {
-		t.Fatalf("gpu stats diverge: shim %+v engine %+v", oldSt, newSt)
 	}
 }
 

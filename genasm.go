@@ -1,7 +1,6 @@
 package genasm
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -35,8 +34,8 @@ func Algorithms() []Algorithm {
 	return []Algorithm{GenASM, GenASMUnimproved, Edlib, KSW2, SWG}
 }
 
-// Config configures an Aligner. The zero value selects improved GenASM
-// with the paper's parameters (W=64, O=24, k=12).
+// Config configures an Engine's aligners. The zero value selects
+// improved GenASM with the paper's parameters (W=64, O=24, k=12).
 type Config struct {
 	Algorithm Algorithm
 	// GenASM window geometry (GenASM algorithms only). Zero values take
@@ -46,12 +45,6 @@ type Config struct {
 	ErrorK     int
 	// Improvement toggles for ablation (improved GenASM only).
 	DisableSENE, DisableDENT, DisableET bool
-	// Affine-gap scoring (KSW2 and SWG only): match bonus, mismatch /
-	// gap-open / gap-extend penalties. Zero takes minimap2 defaults
-	// (2/4/4/2).
-	MatchScore, MismatchPenalty, GapOpen, GapExtend int
-	// BandWidth bounds the KSW2 band (0 = minimap2's 500).
-	BandWidth int
 }
 
 func (c *Config) fillDefaults() {
@@ -67,33 +60,15 @@ func (c *Config) fillDefaults() {
 	if c.ErrorK == 0 {
 		c.ErrorK = min(12, c.WindowSize)
 	}
-	if c.MatchScore == 0 {
-		c.MatchScore = 2
-	}
-	if c.MismatchPenalty == 0 {
-		c.MismatchPenalty = 4
-	}
-	if c.GapOpen == 0 {
-		c.GapOpen = 4
-	}
-	if c.GapExtend == 0 {
-		c.GapExtend = 2
-	}
-	if c.BandWidth == 0 {
-		c.BandWidth = 500
-	}
-}
-
-func (c Config) penalties() cigar.AffinePenalties {
-	return cigar.AffinePenalties{A: c.MatchScore, B: c.MismatchPenalty, Q: c.GapOpen, E: c.GapExtend}
 }
 
 // Result is one alignment.
 type Result struct {
 	// Distance is the unit-cost edit distance realized by the alignment.
 	Distance int
-	// Score is the alignment's affine-gap score under the configured
-	// penalties (higher is better).
+	// Score is the alignment's affine-gap score under minimap2's map-pb
+	// penalties, a=2 b=4 q=4 e=2 (higher is better). The KSW2 and SWG
+	// aligners optimize the same scoring, KSW2 in a 500-cell band.
 	Score int
 	// Cigar is the extended CIGAR string (=, X, I, D operations).
 	Cigar string
@@ -103,23 +78,18 @@ type Result struct {
 	RefConsumed int
 }
 
-// Aligner aligns query sequences against candidate reference regions.
-// An Aligner is NOT safe for concurrent use (the GenASM kernels keep
-// per-aligner scratch); create one per goroutine, or use AlignBatch.
-type Aligner struct {
-	cfg  Config
+// aligner aligns query sequences against candidate reference regions.
+// An aligner is NOT safe for concurrent use (the GenASM kernels keep
+// per-aligner scratch); the cpu backend pools one per goroutine.
+type aligner struct {
 	impl func(q, t []byte) (Result, error)
 }
 
-// New builds an Aligner for cfg.
-//
-// Deprecated: new code should construct an Engine with NewEngine, which
-// pools aligners and adds batch, streaming and backend selection on top
-// of the same kernels. New remains the single-goroutine building block.
-func New(cfg Config) (*Aligner, error) {
+// newAligner builds an aligner for cfg.
+func newAligner(cfg Config) (*aligner, error) {
 	cfg.fillDefaults()
-	a := &Aligner{cfg: cfg}
-	pen := cfg.penalties()
+	a := &aligner{}
+	pen := cigar.DefaultAffine
 	switch cfg.Algorithm {
 	case GenASM:
 		g, err := core.New(core.Config{
@@ -163,7 +133,7 @@ func New(cfg Config) (*Aligner, error) {
 				Cigar: cg.String(), RefConsumed: len(t)}, nil
 		}
 	case KSW2:
-		p := ksw2.Params{Penalties: pen, BandWidth: cfg.BandWidth}
+		p := ksw2.DefaultParams()
 		a.impl = func(q, t []byte) (Result, error) {
 			sc, cg, err := ksw2.GlobalAlignEncoded(q, t, p)
 			if err != nil {
@@ -184,31 +154,13 @@ func New(cfg Config) (*Aligner, error) {
 	return a, nil
 }
 
-// Config returns the aligner's (default-filled) configuration.
-func (a *Aligner) Config() Config { return a.cfg }
-
 // Align aligns query against the candidate reference region ref. Both are
 // raw ASCII sequences; non-ACGT characters never match anything.
-func (a *Aligner) Align(query, ref []byte) (Result, error) {
+func (a *aligner) Align(query, ref []byte) (Result, error) {
 	return a.impl(dna.EncodeSeq(query), dna.EncodeSeq(ref))
 }
 
 // Pair is one batch alignment job.
 type Pair struct {
 	Query, Ref []byte
-}
-
-// AlignBatch aligns every pair with `threads` goroutines (0 = GOMAXPROCS).
-// Results are index-aligned with pairs.
-//
-// Deprecated: use NewEngine and Engine.AlignBatch, which add context
-// cancellation, aligner pooling and backend selection. This shim
-// delegates to a throwaway Engine.
-func AlignBatch(cfg Config, pairs []Pair, threads int) ([]Result, error) {
-	eng, err := NewEngine(WithConfig(cfg), WithThreads(threads))
-	if err != nil {
-		return nil, err
-	}
-	//lint:allow ctxflow deprecated pre-Engine shim has no ctx parameter to thread; callers wanting cancellation migrate to Engine.AlignBatch
-	return eng.AlignBatch(context.Background(), pairs)
 }

@@ -10,7 +10,7 @@ import (
 // an alignment should allocate only the result cigar — never automaton
 // rows, masks, or table entries. These tests pin measured upper bounds;
 // a regression here means a scratch-reuse path was broken (for example
-// an ensureV call replaced by a fresh bitvec.New, or table rows no
+// an ensureV call replaced by a fresh newVec, or table rows no
 // longer recycled across windows).
 //
 // The bounds are upper limits with ~50% headroom over measured values
@@ -81,7 +81,7 @@ func TestWindowKernelAllocs(t *testing.T) {
 // TestMultiwordDENTWordsStored asserts that banded multi-word storage is
 // physically packed: when the (2k+3)-bit band fits in fewer words than the
 // full automaton state, the stored table's stride is the band's word count,
-// not Words(m). This is the storage half of DENT for m > 64 — without it
+// not wordsFor(m). This is the storage half of DENT for m > 64 — without it
 // the multi-word path would only band the reads, not the working set.
 func TestMultiwordDENTWordsStored(t *testing.T) {
 	for _, tc := range []struct {

@@ -3,26 +3,25 @@ package core
 import (
 	"fmt"
 
-	"genasm/internal/bitvec"
 	"genasm/internal/cigar"
 	"genasm/internal/dna"
 )
 
 // Multi-word window path: the same improved GenASM algorithm for windows
-// wider than one machine word (64 < W). The automaton rows span
-// bitvec.Words(m) uint64s; the structure of the distance calculation, early
+// wider than one machine word (64 < W). The automaton rows are vecs of
+// wordsFor(m) uint64s; the structure of the distance calculation, early
 // termination and traceback is identical to the single-word fast path in
 // dc64.go, and both paths share the flat stored-table layout in table.go.
 //
 // DENT here is real at the storage level: when the (2k+3)-bit diagonal band
 // needs fewer words than the full automaton state, only the band words are
 // extracted (extract64) and stored per entry, so the stored working set
-// shrinks from wpe = Words(m) words per entry to ceil((2k+3)/64) — one word
+// shrinks from wpe = wordsFor(m) words per entry to ceil((2k+3)/64) — one word
 // for every default-band configuration. The traceback indexes into the band
 // through table.entryBit's packed path.
 
 type masksMW struct {
-	pm [dna.Alphabet]bitvec.V
+	pm [dna.Alphabet]vec
 	m  int
 }
 
@@ -31,17 +30,17 @@ type masksMW struct {
 // has a smaller m, so an equality check alone would rebuild all scratch
 // twice per Align call). The resized vector's bits are unspecified;
 // every caller fully overwrites it before reading.
-func ensureV(v *bitvec.V, m int) {
-	words := bitvec.Words(m)
-	if v.Width == m && len(v.W) == words {
+func ensureV(v *vec, m int) {
+	words := wordsFor(m)
+	if v.width == m && len(v.w) == words {
 		return
 	}
-	if cap(v.W) >= words {
-		v.Width = m
-		v.W = v.W[:words]
+	if cap(v.w) >= words {
+		v.width = m
+		v.w = v.w[:words]
 		return
 	}
-	*v = bitvec.New(m)
+	*v = newVec(m)
 }
 
 // buildInto (re)builds the pattern masks for pRev in place.
@@ -50,21 +49,21 @@ func (mk *masksMW) buildInto(pRev []byte) {
 	mk.m = m
 	for c := 0; c < dna.Alphabet; c++ {
 		ensureV(&mk.pm[c], m)
-		mk.pm[c].Fill(true)
+		mk.pm[c].fill(true)
 	}
 	for j, pc := range pRev {
 		if pc != dna.N {
-			mk.pm[pc].SetBit(j, 0)
+			mk.pm[pc].setBit(j, 0)
 		}
 	}
 }
 
 // initRowInto writes the error-level-d initial automaton state into v
 // (v must already have width mk.m).
-func (mk *masksMW) initRowInto(v bitvec.V, d int) {
-	v.Fill(true)
+func (mk *masksMW) initRowInto(v vec, d int) {
+	v.fill(true)
 	for j := 0; j < d && j < mk.m; j++ {
-		v.SetBit(j, 0)
+		v.setBit(j, 0)
 	}
 }
 
@@ -73,18 +72,18 @@ func (mk *masksMW) initRowInto(v bitvec.V, d int) {
 // only what the traceback may read, which in banded mode is narrower than
 // the recurrence needs) and the edge-mode temporaries.
 type mwScratch struct {
-	rowPrev, rowCur []bitvec.V
-	tM, tS, tD, tI  bitvec.V
+	rowPrev, rowCur []vec
+	tM, tS, tD, tI  vec
 	mk              masksMW // pattern masks, rebuilt in place per window
 }
 
 func (s *mwScratch) prepare(m, n int) {
 	need := n + 1
 	if cap(s.rowPrev) < need {
-		grown := make([]bitvec.V, need)
+		grown := make([]vec, need)
 		copy(grown, s.rowPrev)
 		s.rowPrev = grown
-		grown = make([]bitvec.V, need)
+		grown = make([]vec, need)
 		copy(grown, s.rowCur)
 		s.rowCur = grown
 	} else {
@@ -107,7 +106,7 @@ func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error
 	mk := &w.mw.mk
 	m, n := mk.m, len(w.tRevBuf)
 	cfg := w.cfg
-	wpe := bitvec.Words(m)
+	wpe := wordsFor(m)
 	t := &w.ts.tbl
 	*t = table{
 		m: m, n: n, k: k,
@@ -144,9 +143,9 @@ func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error
 			// computes M & S & D & I with the shift carries propagated
 			// in registers, instead of four temporary-vector passes.
 			for i := 1; i <= n; i++ {
-				pmw := mk.pm[w.tRevBuf[i-1]].W
-				prevW := rowCur[i-1].W
-				curW := rowCur[i].W
+				pmw := mk.pm[w.tRevBuf[i-1]].w
+				prevW := rowCur[i-1].w
+				curW := rowCur[i].w
 				if d == 0 {
 					var cp uint64
 					for wi := range curW {
@@ -155,8 +154,8 @@ func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error
 						cp = pw >> 63
 					}
 				} else {
-					upW := rowPrev[i-1].W
-					urW := rowPrev[i].W
+					upW := rowPrev[i-1].w
+					urW := rowPrev[i].w
 					var cp, cu, cr uint64
 					for wi := range curW {
 						pw, uw, rw := prevW[wi], upW[wi], urW[wi]
@@ -164,7 +163,7 @@ func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error
 						cp, cu, cr = pw>>63, uw>>63, rw>>63
 					}
 				}
-				rowCur[i].Normalize()
+				rowCur[i].normalize()
 				dst := drow[(i-1)*t.stride : i*t.stride]
 				if t.packed {
 					lo := t.bandLo(i)
@@ -184,26 +183,26 @@ func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error
 		} else {
 			for i := 1; i <= n; i++ {
 				pmt := mk.pm[w.tRevBuf[i-1]]
-				w.mw.tM.Shl1(rowCur[i-1], 0)
-				w.mw.tM.Or(w.mw.tM, pmt)
+				w.mw.tM.shl1(rowCur[i-1], 0)
+				w.mw.tM.or(w.mw.tM, pmt)
 				if d == 0 {
-					rowCur[i].Copy(w.mw.tM)
+					copy(rowCur[i].w, w.mw.tM.w)
 				} else {
-					w.mw.tS.Shl1(rowPrev[i-1], 0)
-					w.mw.tD.Shl1(rowPrev[i], 0)
-					w.mw.tI.Copy(rowPrev[i-1])
-					rowCur[i].And4(w.mw.tM, w.mw.tS, w.mw.tD, w.mw.tI)
+					w.mw.tS.shl1(rowPrev[i-1], 0)
+					w.mw.tD.shl1(rowPrev[i], 0)
+					copy(w.mw.tI.w, rowPrev[i-1].w)
+					rowCur[i].and4(w.mw.tM, w.mw.tS, w.mw.tD, w.mw.tI)
 				}
 				e := drow[4*(i-1)*wpe : (4*(i-1)+4)*wpe]
-				copy(e[edgeM*wpe:(edgeM+1)*wpe], w.mw.tM.W)
+				copy(e[edgeM*wpe:(edgeM+1)*wpe], w.mw.tM.w)
 				if d == 0 {
 					for x := wpe; x < 4*wpe; x++ {
 						e[x] = ^uint64(0)
 					}
 				} else {
-					copy(e[edgeS*wpe:(edgeS+1)*wpe], w.mw.tS.W)
-					copy(e[edgeD*wpe:(edgeD+1)*wpe], w.mw.tD.W)
-					copy(e[edgeI*wpe:(edgeI+1)*wpe], w.mw.tI.W)
+					copy(e[edgeS*wpe:(edgeS+1)*wpe], w.mw.tS.w)
+					copy(e[edgeD*wpe:(edgeD+1)*wpe], w.mw.tD.w)
+					copy(e[edgeI*wpe:(edgeI+1)*wpe], w.mw.tI.w)
 				}
 			}
 			w.counters.AddWrite(uint64(4*n*wpe), 8)
@@ -211,7 +210,7 @@ func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error
 		}
 		//lint:allow hotalloc appends into the scratch-backed rows slice; amortized to zero across windows
 		t.rows = append(t.rows, drow)
-		if solved < 0 && rowCur[n].Bit(m-1) == 0 {
+		if solved < 0 && rowCur[n].bit(m-1) == 0 {
 			solved = d
 			if !cfg.DisableET {
 				w.counters.AddRows(uint64(d+1), uint64(k-d))
@@ -237,10 +236,10 @@ func (w *windowAligner) tracebackMW(t *table, mk *masksMW, dStar int) (cigar.Cig
 	c := w.counters
 	for j >= 0 {
 		if t.entries {
-			if i >= 1 && mk.pm[w.tRevBuf[i-1]].Bit(j) == 0 && t.entryBit(d, i-1, j-1, c) == 0 {
+			if i >= 1 && mk.pm[w.tRevBuf[i-1]].bit(j) == 0 && t.entryBit(d, i-1, j-1, c) == 0 {
 				run := 1
 				i, j = i-1, j-1
-				for i >= 1 && j >= 0 && mk.pm[w.tRevBuf[i-1]].Bit(j) == 0 && t.entryBit(d, i-1, j-1, c) == 0 {
+				for i >= 1 && j >= 0 && mk.pm[w.tRevBuf[i-1]].bit(j) == 0 && t.entryBit(d, i-1, j-1, c) == 0 {
 					run++
 					i, j = i-1, j-1
 				}

@@ -198,7 +198,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 // item 1 pins the steady-state allocation behaviour of these packages).
 var HotPathPackages = []string{
 	"genasm/internal/core",
-	"genasm/internal/bitvec",
 	"genasm/internal/dna",
 	"genasm/internal/minimap",
 }

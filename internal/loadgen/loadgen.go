@@ -105,7 +105,9 @@ type Result struct {
 	LastError      string      `json:"last_error,omitempty"`
 
 	// ServerDelta is the /metrics JSON snapshot movement across the
-	// measure phase (nil when scraping failed).
+	// measure phase (nil when scraping failed). Its BatchSizeMean is the
+	// window's own mean; latency percentiles and queue depth are the
+	// server's values at the end of the window.
 	ServerDelta *server.Scrape `json:"server_delta,omitempty"`
 }
 
@@ -285,10 +287,23 @@ pacing:
 		LastError:       col.lastErr,
 	}
 	if scraped {
-		delta := after.Sub(before)
+		delta := windowDelta(before, after)
 		res.ServerDelta = &delta
 	}
 	return res, nil
+}
+
+// windowDelta is the server's /metrics movement between two scrapes.
+// Scrape.Sub keeps the since-boot batch-size mean, so the window's mean
+// is recomputed from its own counters: pairs done per batch, or 0 when
+// no batch ran in the window.
+func windowDelta(before, after server.Scrape) server.Scrape {
+	d := after.Sub(before)
+	d.BatchSizeMean = 0
+	if d.BatchesTotal > 0 {
+		d.BatchSizeMean = float64(d.PairsDoneTotal) / float64(d.BatchesTotal)
+	}
+	return d
 }
 
 // doRequest performs one request and records its outcome when measured.

@@ -188,3 +188,29 @@ func TestPercentile(t *testing.T) {
 		t.Errorf("percentile(empty) = %v, want 0", got)
 	}
 }
+
+// TestWindowDeltaBatchMeanWithoutBatches: a window in which the server
+// ran no batch reports a mean of 0, not the since-boot mean.
+func TestWindowDeltaBatchMeanWithoutBatches(t *testing.T) {
+	before := server.Scrape{RequestsTotal: 100, PairsDoneTotal: 140, BatchesTotal: 100, BatchSizeMean: 1.4}
+	after := server.Scrape{RequestsTotal: 150, PairsDoneTotal: 140, BatchesTotal: 100, CacheHitsTotal: 50, BatchSizeMean: 1.4}
+	d := windowDelta(before, after)
+	if d.BatchesTotal != 0 || d.BatchSizeMean != 0 {
+		t.Fatalf("window with no batches: batches %d, mean %v; want 0, 0", d.BatchesTotal, d.BatchSizeMean)
+	}
+	if d.RequestsTotal != 50 || d.CacheHitsTotal != 50 {
+		t.Fatalf("counter deltas %+v", d)
+	}
+}
+
+// TestWindowDeltaBatchMeanFromWindowCounters: the mean is the window's
+// pairs done per batch, whatever the since-boot mean was.
+func TestWindowDeltaBatchMeanFromWindowCounters(t *testing.T) {
+	before := server.Scrape{PairsDoneTotal: 8000, BatchesTotal: 1000, BatchSizeMean: 8}
+	after := server.Scrape{PairsDoneTotal: 8060, BatchesTotal: 1020, BatchSizeMean: 7.9}
+	d := windowDelta(before, after)
+	if d.PairsDoneTotal != 60 || d.BatchesTotal != 20 || d.BatchSizeMean != 3 {
+		t.Fatalf("window delta: pairs %d, batches %d, mean %v; want 60, 20, 3",
+			d.PairsDoneTotal, d.BatchesTotal, d.BatchSizeMean)
+	}
+}

@@ -61,13 +61,12 @@ func TestMultiMatchesCPUBitIdentical(t *testing.T) {
 		t.Fatalf("children pairs %d+%d != batch %d",
 			st.Children[0].Pairs, st.Children[1].Pairs, len(pairs))
 	}
-	// The device-backed child's launch surfaces through the generic stats
-	// and the deprecated shim alike.
-	if _, ok := st.findGPU(); !ok {
-		t.Fatal("multi stats carry no device launch")
+	// The device-backed child's launch surfaces through the generic stats.
+	if st.GPU != nil || st.Children[0].GPU != nil {
+		t.Fatalf("launch stats on a device-free node: %+v", st)
 	}
-	if _, ok := multiEng.GPUStats(); !ok {
-		t.Fatal("GPUStats shim found no device launch under multi")
+	if g := st.Children[1].GPU; g == nil || g.Seconds <= 0 || g.SharedBlocks+g.SpilledBlocks != int(st.Children[1].Pairs) {
+		t.Fatalf("gpu child launch stats = %+v", g)
 	}
 }
 

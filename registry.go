@@ -39,8 +39,7 @@ type Capabilities struct {
 }
 
 // BackendStats is a backend's cumulative operational snapshot, generic
-// across kinds (the device-specific Engine.GPUStats is a deprecated shim
-// over this).
+// across kinds.
 type BackendStats struct {
 	// Name is the backend's resolved name (e.g. "cpu", "multi(cpu,gpu)").
 	Name string `json:"name"`
@@ -60,18 +59,28 @@ type BackendStats struct {
 	Children []BackendStats `json:"children,omitempty"`
 }
 
-// findGPU returns the first device-launch stats found in this snapshot
-// or its children (depth-first), mirroring the deprecated GPUStats shim.
-func (s BackendStats) findGPU() (GPUStats, bool) {
-	if s.GPU != nil {
-		return *s.GPU, true
-	}
-	for _, c := range s.Children {
-		if st, ok := c.findGPU(); ok {
-			return st, true
-		}
-	}
-	return GPUStats{}, false
+// GPUStats reports one simulated device launch (one AlignBatch call, or
+// one read's candidate batch under MapAlign). Every figure is per-launch,
+// not cumulative across the engine's lifetime.
+type GPUStats struct {
+	// Device names the simulated device model (e.g. "NVIDIA RTX A6000").
+	Device string `json:"device"`
+	// Seconds is the modelled wall-clock time of the launch: MakespanCycles
+	// divided by the device clock.
+	Seconds float64 `json:"seconds"`
+	// MakespanCycles is the modelled cycle count of the launch's critical
+	// path (block schedule plus L2/DRAM bandwidth floors).
+	MakespanCycles uint64 `json:"makespan_cycles"`
+	// BlocksPerSM is the occupancy the launch ran at.
+	BlocksPerSM int `json:"blocks_per_sm"`
+	// SharedBlocks / SpilledBlocks count pairs (one pair = one thread
+	// block) whose DP working set did / did not fit the block's
+	// shared-memory allocation; spilled blocks pay the L2/DRAM path.
+	SharedBlocks  int `json:"shared_blocks"`
+	SpilledBlocks int `json:"spilled_blocks"`
+	// PairsPerSecond is this launch's modelled throughput: the batch's
+	// pair count divided by Seconds. It is zero for an empty launch.
+	PairsPerSecond float64 `json:"pairs_per_second"`
 }
 
 // Backend executes alignment batches for an Engine. Implementations must
@@ -96,9 +105,6 @@ type BackendOptions struct {
 	// fan-out, forwarded unchanged to a composite's children. Always
 	// >= 1 by the time a factory sees it.
 	Threads int
-	// GPUBlocksPerSM is the WithGPUBlocksPerSM occupancy target (0 =
-	// backend default).
-	GPUBlocksPerSM int
 }
 
 // Factory builds a Backend instance for an Engine, database/sql-driver
@@ -200,7 +206,7 @@ func init() {
 		return newCPUBackend(cfg, opts.Threads)
 	}))
 	Register("gpu", leafFactory("gpu", func(cfg Config, opts BackendOptions) (Backend, error) {
-		return newGPUBackend(cfg, opts.GPUBlocksPerSM)
+		return newGPUBackend(cfg)
 	}))
 	Register("multi", func(spec string, cfg Config, opts BackendOptions) (Backend, error) {
 		return newMultiBackend(spec, cfg, opts)
