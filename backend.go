@@ -70,7 +70,7 @@ func (b *cpuBackend) alignOne(ctx context.Context, p Pair) (Result, error) {
 	return a.Align(p.Query, p.Ref)
 }
 
-func (b *cpuBackend) AlignBatch(ctx context.Context, _ Config, pairs []Pair) ([]Result, error) {
+func (b *cpuBackend) AlignBatch(ctx context.Context, pairs []Pair) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -201,7 +201,7 @@ func (b *gpuBackend) Stats() BackendStats {
 	return st
 }
 
-func (b *gpuBackend) AlignBatch(ctx context.Context, _ Config, pairs []Pair) ([]Result, error) {
+func (b *gpuBackend) AlignBatch(ctx context.Context, pairs []Pair) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

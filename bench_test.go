@@ -126,14 +126,13 @@ func BenchmarkE2MemoryAccesses(b *testing.B) {
 }
 
 // benchBackends are the registered backend names the engine benchmarks
-// sweep: both leaves plus the sharding composite, all through the public
-// registry API.
-var benchBackends = []string{"cpu", "gpu", "multi(cpu,gpu)"}
+// sweep, through the public registry API.
+var benchBackends = []string{"cpu", "gpu"}
 
 // BenchmarkEngineAlignBatch times the public Engine API on every
 // built-in backend over the shared workload — the end-to-end path
 // production callers hit (pooled aligners, context checks, encode
-// included; for multi, the capability-weighted shard split).
+// included).
 func BenchmarkEngineAlignBatch(b *testing.B) {
 	w := benchWorkload(b)
 	pairs := w.PublicPairs()
@@ -152,9 +151,6 @@ func BenchmarkEngineAlignBatch(b *testing.B) {
 			}
 			b.StopTimer()
 			reportPairs(b, w)
-			if st := eng.BackendStats(); st.Shards > 0 {
-				b.ReportMetric(float64(st.Shards)/float64(st.Batches), "shards/batch")
-			}
 		})
 	}
 }
@@ -482,7 +478,7 @@ func BenchmarkSchedulerCoalesce(b *testing.B) {
 //	go test -run TestBenchJSON -benchjson BENCH_7.json .
 //
 // writes a schema-4 report: ns/op and alignments/sec for every built-in
-// backend (cpu, gpu and the multi sharding composite) and the serving
+// backend (cpu and gpu) and the serving
 // scheduler; a "kernel" section with per-window kernel benches
 // (ns/window, DP words touched), an EngineAlignBatch/cpu GOMAXPROCS
 // 1/2/4 scaling curve, and the interleaved single-thread before/after
@@ -672,7 +668,6 @@ func TestBenchJSON(t *testing.T) {
 		AlignmentsPerSec float64 `json:"alignments_per_sec"`
 		AllocsPerOp      int64   `json:"allocs_per_op"`
 		BytesPerOp       int64   `json:"bytes_per_op"`
-		ShardsPerBatch   float64 `json:"shards_per_batch,omitempty"`
 	}
 	var entries []entry
 	for _, name := range benchBackends {
@@ -688,17 +683,13 @@ func TestBenchJSON(t *testing.T) {
 				}
 			}
 		})
-		e := entry{
+		entries = append(entries, entry{
 			Name:             "EngineAlignBatch/" + name,
 			NsPerOp:          r.NsPerOp(),
 			AlignmentsPerSec: float64(len(pairs)) * float64(r.N) / r.T.Seconds(),
 			AllocsPerOp:      r.AllocsPerOp(),
 			BytesPerOp:       r.AllocedBytesPerOp(),
-		}
-		if st := eng.BackendStats(); st.Shards > 0 && st.Batches > 0 {
-			e.ShardsPerBatch = float64(st.Shards) / float64(st.Batches)
-		}
-		entries = append(entries, e)
+		})
 	}
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()

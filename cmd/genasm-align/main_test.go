@@ -160,17 +160,14 @@ func TestLoadReadsFormats(t *testing.T) {
 func TestRunBackendSelection(t *testing.T) {
 	dir := t.TempDir()
 	refPath, fqPath, _, _ := writeTestData(t, dir)
-	var cpu, gpu, multi bytes.Buffer
+	var cpu, gpu bytes.Buffer
 	if err := run(refPath, fqPath, "genasm", "cpu", false, &cpu); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(refPath, fqPath, "genasm", "gpu", false, &gpu); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(refPath, fqPath, "genasm", "multi(cpu,gpu)", false, &multi); err != nil {
-		t.Fatal(err)
-	}
-	if cpu.String() != gpu.String() || cpu.String() != multi.String() {
+	if cpu.String() != gpu.String() {
 		t.Fatal("backends emitted different records for the same input")
 	}
 	var out bytes.Buffer
@@ -178,7 +175,7 @@ func TestRunBackendSelection(t *testing.T) {
 	if err == nil {
 		t.Fatal("accepted unknown backend")
 	}
-	for _, want := range []string{"tpu", "cpu", "gpu", "multi"} {
+	for _, want := range []string{"tpu", "cpu", "gpu"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("backend error %q does not list %q", err, want)
 		}

@@ -34,7 +34,7 @@ func main() {
 		errRate   = flag.Float64("error", 0.10, "mean read error rate")
 		seed      = flag.Int64("seed", 7, "workload seed")
 		threads   = flag.Int("threads", runtime.GOMAXPROCS(0), "CPU threads for E3/A1-A3")
-		backend   = flag.String("backend", "multi(cpu,gpu)",
+		backend   = flag.String("backend", "gpu",
 			"engine backend for E5, any registered name: "+strings.Join(genasm.Backends(), " | "))
 		maxPairs = flag.Int("max-pairs", 0, "cap candidate pairs (0 = all)")
 		quick    = flag.Bool("quick", false, "small workload for a fast smoke run")

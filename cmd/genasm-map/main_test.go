@@ -238,19 +238,16 @@ func TestAllCandidatesEmitsSecondary(t *testing.T) {
 }
 
 // TestBackendsAgree pins backend equivalence end-to-end: the GPU
-// backend and the multi(cpu,gpu) sharding composite must emit SAM
-// byte-identical to the CPU backend's.
+// backend must emit SAM byte-identical to the CPU backend's.
 func TestBackendsAgree(t *testing.T) {
 	dir := t.TempDir()
 	refPath, fqPath, _, _ := writeTestData(t, dir, 6, 800, 41)
 	cpuOpts := testOptions(refPath, fqPath, "sam")
 	cpu := mapToString(t, cpuOpts)
-	for _, backend := range []string{"gpu", "multi(cpu,gpu)"} {
-		o := cpuOpts
-		o.backend = backend
-		if got := mapToString(t, o); got != cpu {
-			t.Fatalf("backend %s emitted SAM different from cpu", backend)
-		}
+	o := cpuOpts
+	o.backend = "gpu"
+	if got := mapToString(t, o); got != cpu {
+		t.Fatal("gpu backend emitted SAM different from cpu")
 	}
 }
 

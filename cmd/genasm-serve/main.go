@@ -51,10 +51,6 @@ import (
 	"genasm/internal/obs"
 	"genasm/server"
 	"genasm/server/jobs"
-
-	// Register the remote(host:port) backend so a node can itself shard
-	// work across other nodes (e.g. -backend "multi(cpu,remote(b:8081))").
-	_ "genasm/internal/remotebk"
 )
 
 // options collects every flag so the whole serve path is testable.
@@ -131,6 +127,34 @@ func (o options) engineOptions() []genasm.Option {
 	return opts
 }
 
+// localEngineFlag names the first engine- or jobs-related flag whose
+// value differs from its default, or returns "" when none does. Those
+// flags configure the local engine and job lane, which a front does not
+// run.
+func (o options) localEngineFlag() string {
+	d := defaultOptions()
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"-backend", o.backend != d.backend},
+		{"-algo", o.algo != d.algo},
+		{"-threads", o.threads != d.threads},
+		{"-max-query", o.maxQuery != d.maxQuery},
+		{"-batch", o.batch != d.batch},
+		{"-batch-delay", o.batchDelay != d.batchDelay},
+		{"-queue", o.queue != d.queue},
+		{"-cache", o.cacheSize != d.cacheSize},
+		{"-jobs-workers", o.jobsWorkers != d.jobsWorkers},
+		{"-jobs-ttl", o.jobsTTL != d.jobsTTL},
+	} {
+		if f.set {
+			return f.name
+		}
+	}
+	return ""
+}
+
 // buildServer assembles the server and preloads the -ref references.
 // With -upstream set it builds the front-tier variant instead: no local
 // engine, so engine- and jobs-related flags are rejected rather than
@@ -142,6 +166,9 @@ func buildServer(o options) (*server.Server, error) {
 		}
 		if len(o.refs) > 0 {
 			return nil, errors.New("-upstream and -ref are mutually exclusive: upload references through the front (POST /refs broadcasts to every upstream)")
+		}
+		if name := o.localEngineFlag(); name != "" {
+			return nil, fmt.Errorf("-upstream and %s are mutually exclusive: a front runs no local engine; set %s on the upstream nodes", name, name)
 		}
 		return server.New(server.Config{
 			Proxy: server.ProxyConfig{

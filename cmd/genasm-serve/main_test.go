@@ -60,16 +60,16 @@ func TestEngineOptionsValidation(t *testing.T) {
 	}
 	// The registry's resolution error is self-diagnosing: it lists every
 	// registered name.
-	for _, want := range []string{"cpu", "gpu", "multi"} {
+	for _, want := range []string{"cpu", "gpu"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("backend error %q does not list %q", err, want)
 		}
 	}
 	o = defaultOptions()
-	o.backend = "multi(cpu,gpu)"
+	o.backend = "gpu"
 	srv, err := buildServer(o)
 	if err != nil {
-		t.Fatalf("parameterized multi spec rejected: %v", err)
+		t.Fatalf("gpu backend rejected: %v", err)
 	}
 	srv.Close()
 	o = defaultOptions()
@@ -96,6 +96,54 @@ func TestBuildServerPreloadsRefs(t *testing.T) {
 	if _, err := buildServer(o); err == nil {
 		t.Fatal("missing reference file accepted")
 	}
+}
+
+// TestFrontRejectsEngineFlags: a front (-upstream) runs no local engine
+// or job lane, so every engine- or jobs-related flag set away from its
+// default is refused by name instead of silently ignored, while the
+// front-only flags build.
+func TestFrontRejectsEngineFlags(t *testing.T) {
+	front := func() options {
+		o := defaultOptions()
+		o.upstreams = []string{"127.0.0.1:1"}
+		return o
+	}
+	for _, tc := range []struct {
+		flag string
+		set  func(*options)
+	}{
+		{"-backend", func(o *options) { o.backend = "gpu" }},
+		{"-algo", func(o *options) { o.algo = "edlib" }},
+		{"-threads", func(o *options) { o.threads = 2 }},
+		{"-max-query", func(o *options) { o.maxQuery = 1000 }},
+		{"-batch", func(o *options) { o.batch = 8 }},
+		{"-batch-delay", func(o *options) { o.batchDelay = time.Second }},
+		{"-queue", func(o *options) { o.queue = 10 }},
+		{"-cache", func(o *options) { o.cacheSize = -1 }},
+		{"-jobs-dir", func(o *options) { o.jobsDir = t.TempDir() }},
+		{"-jobs-workers", func(o *options) { o.jobsWorkers = 3 }},
+		{"-jobs-ttl", func(o *options) { o.jobsTTL = time.Minute }},
+		{"-ref", func(o *options) { o.refs = []refSpec{{name: "chr1", path: "ref.fa"}} }},
+	} {
+		o := front()
+		tc.set(&o)
+		_, err := buildServer(o)
+		if err == nil || !strings.Contains(err.Error(), "-upstream and "+tc.flag+" are mutually exclusive") {
+			t.Errorf("%s: err = %v, want a -upstream conflict naming the flag", tc.flag, err)
+		}
+	}
+
+	o := front()
+	o.healthInterval = time.Minute
+	o.slowRequest = 0
+	srv, err := buildServer(o)
+	if err != nil {
+		t.Fatalf("front-only flags rejected: %v", err)
+	}
+	if srv.Proxy() == nil {
+		t.Fatal("-upstream did not build a front")
+	}
+	srv.Close()
 }
 
 // TestBuildServerJobsLane: -jobs-dir enables the bulk lane (with the

@@ -18,12 +18,11 @@
 // configuration produces bit-identical results on every backend — the
 // "cpu" backend pools per-goroutine aligners, the "gpu" backend executes
 // the same kernels on a simulated SIMT device (an NVIDIA A6000 model)
-// with a shared-memory / L2 / DRAM cost model, and the "multi" composite
-// shards one batch across any set of registered backends.
+// with a shared-memory / L2 / DRAM cost model.
 //
 //	eng, _ := genasm.NewEngine(
 //		genasm.WithAlgorithm(genasm.GenASM),
-//		genasm.WithBackendName("cpu"), // or "gpu", "multi(cpu,gpu)", ...
+//		genasm.WithBackendName("cpu"), // or "gpu"
 //	)
 //	res, _ := eng.Align(ctx, []byte("ACGTACGT..."), []byte("ACGTTACGT..."))
 //	fmt.Println(res.Distance, res.Cigar)
@@ -62,9 +61,9 @@
 //     reads, plus the unimproved MICRO'20 formulation (GenASMUnimproved)
 //     and reproductions of Edlib, KSW2 and Smith-Waterman-Gotoh as
 //     baselines, all behind the one Engine;
-//   - a public backend layer (below): "cpu", "gpu" and the sharding
-//     composite "multi" built in, third-party backends registered by
-//     name, bit-identical results required of all of them;
+//   - a public backend layer (below): "cpu" and "gpu" built in,
+//     third-party backends registered by name, bit-identical results
+//     required of all of them;
 //   - workload tooling: synthetic genome generation (GenerateGenome), a
 //     PBSIM2-like read simulator (SimulateLongReads, SimulateShortReads)
 //     and a minimap2-like minimizer/chaining candidate generator
@@ -79,15 +78,7 @@
 // Backends() lists the registered names. Capabilities (MaxQueryLen,
 // PreferredBatch, Parallelism) lets admission control and the serving
 // scheduler size themselves per backend; BackendStats is the generic
-// operational snapshot (Engine.BackendStats).
-//
-// The built-in "multi" backend is the first scale-out primitive: it
-// shards one AlignBatch across child backends ("multi" defaults to
-// cpu+gpu; "multi(a,b,...)" names any registered children) in
-// contiguous chunks weighted by each child's Parallelism, runs the
-// shards concurrently, and stitches results back in input order — so
-// its output is bit-identical to any single child's, and a failure
-// carries per-shard attribution (ShardError). Every implementation must
+// operational snapshot (Engine.BackendStats). Every implementation must
 // uphold the paper's equivalence claim: same Config, same Results, bit
 // for bit.
 //
@@ -104,9 +95,11 @@
 // backpressure), a registry indexes named references once into shared
 // Mappers, an LRU cache keyed on Engine.Fingerprint short-circuits
 // repeated alignments, and /metrics + /healthz + /backends report
-// operational state (including the backend registry and per-shard
-// composite stats). The scheduler's default batch size comes from the
-// engine backend's Capabilities. /map-align responses are buffered JSON
+// operational state (including the backend registry and the active
+// backend's stats). The scheduler's default batch size comes from the
+// engine backend's Capabilities. Scaling out is a routing front
+// (genasm-serve -upstream) that consistent-hashes requests across
+// nodes by reference. /map-align responses are buffered JSON
 // or incrementally streamed SAM/PAF. The full HTTP reference is
 // docs/API.md; the layer map with the MapAlign data flow is
 // docs/ARCHITECTURE.md.

@@ -27,11 +27,9 @@ func WithAlgorithm(a Algorithm) Option {
 }
 
 // WithBackendName selects the execution backend by its registered name
-// (default "cpu"). Built-ins are "cpu", "gpu" (GenASM algorithms only)
-// and the sharding composite "multi" — parameterizable as
-// "multi(cpu,gpu)" or any other registered child list. Backends()
-// enumerates every valid name; an unknown name fails NewEngine with the
-// valid names in the error.
+// (default "cpu"). Built-ins are "cpu" and "gpu" (GenASM algorithms
+// only). Backends() enumerates every valid name; an unknown name fails
+// NewEngine with the valid names in the error.
 func WithBackendName(name string) Option {
 	return func(s *engineSettings) { s.backendName = name }
 }
@@ -109,7 +107,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	if s.backendName == "" {
 		s.backendName = "cpu"
 	}
-	be, err := openBackend(s.backendName, cfg, BackendOptions{Threads: s.threads})
+	be, err := openBackend(s.backendName, cfg, s.threads)
 	if err != nil {
 		return nil, err
 	}
@@ -132,11 +130,8 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// Config returns the engine's default-filled aligner configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
-// BackendName reports the backend spec the engine resolved (e.g. "cpu",
-// "multi(cpu,gpu)").
+// BackendName reports the backend name the engine resolved (e.g. "cpu",
+// "gpu").
 func (e *Engine) BackendName() string { return e.beName }
 
 // Capabilities reports the engine's backend execution envelope. Batch
@@ -168,8 +163,8 @@ func (e *Engine) Fingerprint() string {
 }
 
 // BackendStats returns the backend's cumulative operational snapshot:
-// batches and pairs executed, per-child breakdowns for composite
-// backends, and the most recent device launch when one exists.
+// batches and pairs executed, and the most recent device launch when one
+// exists.
 func (e *Engine) BackendStats() BackendStats { return e.be.Stats() }
 
 func (e *Engine) checkQuery(q []byte) error {
@@ -183,7 +178,7 @@ func (e *Engine) checkQuery(q []byte) error {
 // result contract, so a misbehaving third-party backend fails loudly
 // instead of panicking a pipeline worker or truncating silently.
 func (e *Engine) runBatch(ctx context.Context, pairs []Pair) ([]Result, error) {
-	results, err := e.be.AlignBatch(ctx, e.cfg, pairs)
+	results, err := e.be.AlignBatch(ctx, pairs)
 	if err != nil {
 		return nil, err
 	}

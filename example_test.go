@@ -13,7 +13,7 @@ import (
 func ExampleNewEngine() {
 	eng, err := genasm.NewEngine(
 		genasm.WithAlgorithm(genasm.GenASM),
-		genasm.WithBackendName("cpu"), // or "gpu", "multi(cpu,gpu)" — see Backends()
+		genasm.WithBackendName("cpu"), // or "gpu" — see Backends()
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -51,11 +51,10 @@ func ExampleEngine_AlignBatch() {
 	// pair 1: distance 1
 }
 
-// ExampleWithBackendName selects the sharding composite backend through
-// the driver-style registry; results are bit-identical to any single
-// backend's.
+// ExampleWithBackendName selects the simulated-GPU backend through the
+// driver-style registry; results are bit-identical to the CPU backend's.
 func ExampleWithBackendName() {
-	eng, err := genasm.NewEngine(genasm.WithBackendName("multi(cpu,gpu)"))
+	eng, err := genasm.NewEngine(genasm.WithBackendName("gpu"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +65,7 @@ func ExampleWithBackendName() {
 		log.Fatal(err)
 	}
 	fmt.Println(eng.BackendName(), res.Distance, res.Cigar)
-	// Output: multi(cpu,gpu) 1 7=1X6=
+	// Output: gpu 1 7=1X6=
 }
 
 // ExampleEngine_MapAlign runs the full read-mapping pipeline: candidate

@@ -307,10 +307,9 @@ func E4GPU(ctx context.Context, w *Workload, cpuTimes map[string]time.Duration) 
 
 // E5Backend times Engine.AlignBatch through the public backend registry
 // on the selected backend name against the cpu baseline: the end-to-end
-// host cost of the shipped API on any registered backend, including the
-// "multi" sharding composite (whose per-child pair split the notes
-// report). Host wall clock, so the gpu rows measure the simulator's
-// execution cost — the modelled device seconds live in E4.
+// host cost of the shipped API on any registered backend. Host wall
+// clock, so the gpu rows measure the simulator's execution cost — the
+// modelled device seconds live in E4.
 func E5Backend(ctx context.Context, w *Workload, name string, threads int) (*Table, error) {
 	names := []string{"cpu"}
 	if name != "cpu" {
@@ -341,17 +340,6 @@ func E5Backend(ctx context.Context, w *Workload, name string, threads int) (*Tab
 			fmt.Sprintf("%.0f", float64(len(w.Pairs))/el.Seconds()),
 			fmt.Sprintf("%.1fx", cpuSec/el.Seconds()),
 		})
-		if st := eng.BackendStats(); len(st.Children) > 0 {
-			split := ""
-			for i, c := range st.Children {
-				if i > 0 {
-					split += ", "
-				}
-				split += fmt.Sprintf("%s=%d", c.Name, c.Pairs)
-			}
-			tab.Notes = append(tab.Notes,
-				fmt.Sprintf("%s split the batch over %d shards: %s", be, st.Shards, split))
-		}
 	}
 	return tab, nil
 }

@@ -8,7 +8,7 @@ import (
 // HTTPClient returns the httpclient analyzer. Library code (any
 // non-main package) must not build HTTP clients that can hang forever
 // or detach from the caller's cancellation chain — the exact failure
-// mode the distributed serving tier (remote backend, routing front)
+// mode the distributed serving tier (the routing front)
 // turns from a stuck goroutine into a stuck cluster:
 //
 //   - an http.Client composite literal must set Timeout explicitly

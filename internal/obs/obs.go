@@ -8,7 +8,7 @@
 //     ID and a bounded list of recorded Spans (name, start, duration,
 //     attrs). Recording is nil-safe — code instruments unconditionally
 //     and pays one pointer check when no trace is attached — and
-//     concurrent: shard fan-outs record into one trace from many
+//     concurrent: spans may be recorded into one trace from many
 //     goroutines. A TraceLog ring buffer keeps the most recent finished
 //     traces for GET /debug/traces.
 //

@@ -149,8 +149,8 @@ func (t *Trace) Finish() time.Duration {
 }
 
 // Absorb copies every span of o into t (bounded by t's span cap). The
-// scheduler uses it to splice a shared batch trace — backend execution,
-// per-child shard spans — into each co-batched request's own trace.
+// scheduler uses it to splice a shared batch trace — batch assembly and
+// backend execution — into each co-batched request's own trace.
 func (t *Trace) Absorb(o *Trace) {
 	if t == nil || o == nil {
 		return

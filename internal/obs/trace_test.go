@@ -99,7 +99,7 @@ func TestTraceConcurrentRecord(t *testing.T) {
 func TestTraceAbsorb(t *testing.T) {
 	batch := NewTrace("batch", "")
 	batch.Record("backend_exec", time.Now(), 3*time.Millisecond, String("backend", "cpu"))
-	batch.Record("shard", time.Now(), time.Millisecond)
+	batch.Record("batch_assemble", time.Now(), time.Millisecond)
 	req := NewTrace("request", "")
 	req.Record("queue_wait", time.Now(), time.Millisecond)
 	req.Absorb(batch)
@@ -111,7 +111,7 @@ func TestTraceAbsorb(t *testing.T) {
 	for _, s := range v.Spans {
 		names[s.Name] = true
 	}
-	for _, want := range []string{"queue_wait", "backend_exec", "shard"} {
+	for _, want := range []string{"queue_wait", "backend_exec", "batch_assemble"} {
 		if !names[want] {
 			t.Fatalf("missing span %q after Absorb: %v", want, names)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 func TestBackendUsageListsRegistry(t *testing.T) {
 	usage := BackendUsage()
-	for _, want := range []string{"cpu", "gpu", "multi"} {
+	for _, want := range []string{"cpu", "gpu"} {
 		if !strings.Contains(usage, want) {
 			t.Fatalf("usage %q does not list %q", usage, want)
 		}
@@ -20,7 +21,7 @@ func TestBackendUsageListsRegistry(t *testing.T) {
 
 func TestBackendsListsBuiltins(t *testing.T) {
 	names := Backends()
-	for _, want := range []string{"cpu", "gpu", "multi"} {
+	for _, want := range []string{"cpu", "gpu"} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -48,37 +49,25 @@ func TestRegisterPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	okFactory := func(string, Config, BackendOptions) (Backend, error) { return nil, nil }
+	okFactory := func(Config, int) (Backend, error) { return nil, nil }
 	mustPanic("empty name", func() { Register("", okFactory) })
 	mustPanic("nil factory", func() { Register("nilfactory", nil) })
 	mustPanic("duplicate name", func() { Register("cpu", okFactory) })
-	mustPanic("parameterized name", func() { Register("multi(cpu,gpu)", okFactory) })
 }
 
+// TestNewEngineUnknownBackendListsNames: backend names are exact registry
+// keys — a typo or a spec with parameters configures nothing and fails
+// with every valid name in the error.
 func TestNewEngineUnknownBackendListsNames(t *testing.T) {
-	_, err := NewEngine(WithBackendName("tpu"))
-	if err == nil {
-		t.Fatal("NewEngine accepted unknown backend")
-	}
-	for _, want := range []string{"tpu", "cpu", "gpu", "multi"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not mention %q", err, want)
-		}
-	}
-}
-
-// TestLeafBackendsRejectParameterizedSpecs: "cpu(8)" resolves to the cpu
-// factory by base name, but silently dropping the parameters would let a
-// typo rename the engine (fingerprint, metrics) while configuring
-// nothing — leaf factories must reject any spec that is not their name.
-func TestLeafBackendsRejectParameterizedSpecs(t *testing.T) {
-	for _, spec := range []string{"cpu(8)", "gpu(fast)", "cpu()"} {
-		_, err := NewEngine(WithBackendName(spec))
+	for _, name := range []string{"tpu", "multi", "multi(cpu,gpu)", "remote(127.0.0.1:1)", "cpu(8)", "gpu()"} {
+		_, err := NewEngine(WithBackendName(name))
 		if err == nil {
-			t.Fatalf("%s: accepted", spec)
+			t.Fatalf("%s: NewEngine accepted unknown backend", name)
 		}
-		if !strings.Contains(err.Error(), "takes no parameters") {
-			t.Fatalf("%s: err = %v, want parameter rejection", spec, err)
+		for _, want := range []string{"unknown backend", strconv.Quote(name), "cpu", "gpu"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not mention %q", name, err, want)
+			}
 		}
 	}
 }
@@ -91,11 +80,11 @@ type countingBackend struct {
 	mu    sync.Mutex
 }
 
-func (b *countingBackend) AlignBatch(ctx context.Context, cfg Config, pairs []Pair) ([]Result, error) {
+func (b *countingBackend) AlignBatch(ctx context.Context, pairs []Pair) ([]Result, error) {
 	b.mu.Lock()
 	b.calls++
 	b.mu.Unlock()
-	return b.child.AlignBatch(ctx, cfg, pairs)
+	return b.child.AlignBatch(ctx, pairs)
 }
 func (b *countingBackend) Capabilities() Capabilities { return b.child.Capabilities() }
 func (b *countingBackend) Stats() BackendStats {
@@ -115,8 +104,8 @@ var (
 
 func registerCountingBackend() {
 	registerCountingOnce.Do(func() {
-		Register("counting", func(name string, cfg Config, opts BackendOptions) (Backend, error) {
-			child, err := newCPUBackend(cfg, opts.Threads)
+		Register("counting", func(cfg Config, threads int) (Backend, error) {
+			child, err := newCPUBackend(cfg, threads)
 			if err != nil {
 				return nil, err
 			}
@@ -173,7 +162,7 @@ func TestRegisteredBackendServesEngine(t *testing.T) {
 func TestConcurrentNewEngine(t *testing.T) {
 	registerCountingBackend()
 	pairs := testPairs(22, 2, 120, 0.1)
-	names := []string{"cpu", "gpu", "multi", "multi(cpu,gpu)", "counting"}
+	names := []string{"cpu", "gpu", "counting"}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -189,7 +178,7 @@ func TestConcurrentNewEngine(t *testing.T) {
 					t.Errorf("%s: %v", name, err)
 					return
 				}
-				if len(Backends()) < 4 {
+				if len(Backends()) < len(names) {
 					t.Errorf("Backends() shrank: %v", Backends())
 					return
 				}
@@ -218,6 +207,40 @@ func TestErrQueryTooLongSentinel(t *testing.T) {
 	}
 }
 
+// shortBackend returns fewer results than pairs with a nil error — a
+// contract violation the engine must surface, not truncate over.
+type shortBackend struct{}
+
+func (shortBackend) AlignBatch(ctx context.Context, pairs []Pair) ([]Result, error) {
+	return make([]Result, len(pairs)/2), nil
+}
+func (shortBackend) Capabilities() Capabilities {
+	return Capabilities{Parallelism: 2, PreferredBatch: 2}
+}
+func (shortBackend) Stats() BackendStats { return BackendStats{Name: "shortbe"} }
+
+var registerShortOnce sync.Once
+
+func TestEngineRejectsShortBackendResults(t *testing.T) {
+	registerShortOnce.Do(func() {
+		Register("shortbe", func(Config, int) (Backend, error) { return shortBackend{}, nil })
+	})
+	eng, err := NewEngine(WithBackendName("shortbe"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = eng.AlignBatch(context.Background(), testPairs(38, 4, 150, 0.08))
+	if err == nil || !strings.Contains(err.Error(), "results for") {
+		t.Fatalf("err = %v, want the short result slice named as a contract violation", err)
+	}
+	// Align's batch-of-one fallback hits the same guard instead of
+	// panicking on an empty slice.
+	one := testPairs(39, 1, 150, 0.08)
+	if _, err := eng.Align(context.Background(), one[0].Query, one[0].Ref); err == nil {
+		t.Fatal("Align accepted an empty result slice from the backend")
+	}
+}
+
 // capBackend reports a structural MaxQueryLen; the engine must tighten
 // its admission limit to it.
 type capBackend struct{ Backend }
@@ -234,8 +257,8 @@ var registerCappedOnce sync.Once
 // structural MaxQueryLen of 40.
 func registerCappedBackend() {
 	registerCappedOnce.Do(func() {
-		Register("capped", func(name string, cfg Config, opts BackendOptions) (Backend, error) {
-			child, err := newCPUBackend(cfg, opts.Threads)
+		Register("capped", func(cfg Config, threads int) (Backend, error) {
+			child, err := newCPUBackend(cfg, threads)
 			if err != nil {
 				return nil, err
 			}

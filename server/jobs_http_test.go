@@ -26,7 +26,7 @@ type slowBackend struct {
 	delay time.Duration
 }
 
-func (b *slowBackend) AlignBatch(ctx context.Context, cfg genasm.Config, pairs []genasm.Pair) ([]genasm.Result, error) {
+func (b *slowBackend) AlignBatch(ctx context.Context, pairs []genasm.Pair) ([]genasm.Result, error) {
 	select {
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -44,7 +44,7 @@ func (b *slowBackend) Stats() genasm.BackendStats {
 }
 
 func init() {
-	genasm.Register("slowtest", func(spec string, cfg genasm.Config, opts genasm.BackendOptions) (genasm.Backend, error) {
+	genasm.Register("slowtest", func(genasm.Config, int) (genasm.Backend, error) {
 		inner, err := genasm.NewEngine()
 		if err != nil {
 			return nil, err

@@ -50,7 +50,7 @@ type Metrics struct {
 }
 
 // NewMetrics returns a Metrics clock-started now, labeled with the
-// engine's backend name (e.g. "cpu", "multi(cpu,gpu)") — the label
+// engine's backend name (e.g. "cpu", "gpu") — the label
 // rides on every Prometheus series.
 func NewMetrics(backend string) *Metrics {
 	reg := obs.NewRegistry(obs.String("backend", backend))

@@ -23,9 +23,9 @@ type SchedulerConfig struct {
 	// MaxBatch flushes a batch as soon as this many pairs are pending.
 	// The default is the engine backend's Capabilities().PreferredBatch
 	// (a few pairs per CPU worker, one wave of resident blocks on the
-	// GPU, the children's sum on a composite; 64 if the backend states
-	// no preference). Bigger batches keep the backend saturated — the
-	// paper's throughput lever — at the cost of per-request latency.
+	// GPU; 64 if the backend states no preference). Bigger batches keep
+	// the backend saturated — the paper's throughput lever — at the cost
+	// of per-request latency.
 	MaxBatch int
 	// MaxDelay bounds how long the first pair of a batch may wait before
 	// the batch is flushed regardless of size (default 2ms). This is the
@@ -238,9 +238,9 @@ func (s *Scheduler) runBatch(batch []*schedJob) {
 		traced = traced || j.trace != nil
 	}
 	// The batch serves many requests at once, so its shared stages
-	// (assembly, backend execution, composite shard fan-out) record onto
-	// one batch trace that is spliced into every co-batched request's
-	// trace afterwards. Untraced batches skip the bookkeeping entirely.
+	// (assembly, backend execution) record onto one batch trace that is
+	// spliced into every co-batched request's trace afterwards. Untraced
+	// batches skip the bookkeeping entirely.
 	var btr *obs.Trace
 	if traced {
 		btr = obs.NewTrace("batch", "")

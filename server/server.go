@@ -33,8 +33,8 @@
 //     to the synchronous /map-align output for the same reads.
 //
 // The scheduler's default flush threshold comes from the engine
-// backend's Capabilities (PreferredBatch), so a GPU- or multi-backed
-// server batches to its backend's appetite without kind-specific
+// backend's Capabilities (PreferredBatch), so a GPU-backed server
+// batches to its backend's appetite without kind-specific
 // configuration.
 //
 // /map-align negotiates its response representation: JSON (default, one
@@ -231,8 +231,6 @@ func (s *Server) registerScrapeMetrics() {
 			func() float64 { return float64(s.eng.BackendStats().Batches) })
 		reg.CounterFunc("genasm_backend_pairs_total", "Pairs aligned, counted by the engine backend.",
 			func() float64 { return float64(s.eng.BackendStats().Pairs) })
-		reg.CounterFunc("genasm_backend_shards_total", "Child dispatches performed by a composite backend.",
-			func() float64 { return float64(s.eng.BackendStats().Shards) })
 	}
 	if s.jobs == nil {
 		return
@@ -827,15 +825,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap["cache_capacity"] = s.cache.Cap()
 	if s.eng != nil {
 		// The engine backend's own counters ride along: generic batch/pair
-		// totals for any backend, shard totals and per-child breakdowns for
-		// composites, last device launch for device-backed ones.
+		// totals for any backend, last device launch for device-backed
+		// ones.
 		bs := s.eng.BackendStats()
 		snap["backend_batches_total"] = bs.Batches
 		snap["backend_pairs_total"] = bs.Pairs
-		if bs.Shards > 0 || len(bs.Children) > 0 {
-			snap["backend_shards_total"] = bs.Shards
-			snap["backend_children"] = bs.Children
-		}
 		if bs.GPU != nil {
 			snap["backend_gpu_last_launch"] = bs.GPU
 		}

@@ -722,7 +722,7 @@ func TestBackendsEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"cpu", "gpu", "multi"} {
+	for _, want := range []string{"cpu", "gpu"} {
 		found := false
 		for _, n := range resp.Registered {
 			found = found || n == want
@@ -742,17 +742,16 @@ func TestBackendsEndpoint(t *testing.T) {
 	}
 }
 
-// TestServerOnMultiBackend serves requests on the sharding composite:
-// results must match a CPU engine bit-for-bit, /metrics must carry the
-// per-child backend breakdown, and /backends must show the active
-// composite.
-func TestServerOnMultiBackend(t *testing.T) {
+// TestServerOnGPUBackend serves requests on the simulated-GPU backend:
+// results must match a CPU engine bit-for-bit, /backends must show gpu
+// as the active backend, and /metrics must carry the last device launch.
+func TestServerOnGPUBackend(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
-		EngineOptions: []genasm.Option{genasm.WithBackendName("multi(cpu,gpu)")},
+		EngineOptions: []genasm.Option{genasm.WithBackendName("gpu")},
 		Scheduler:     SchedulerConfig{MaxDelay: time.Millisecond},
 		CacheSize:     -1,
 	})
-	if got := srv.Engine().BackendName(); got != "multi(cpu,gpu)" {
+	if got := srv.Engine().BackendName(); got != "gpu" {
 		t.Fatalf("engine backend %q", got)
 	}
 	pairs := testPairs(t, 16, 78)
@@ -778,8 +777,24 @@ func TestServerOnMultiBackend(t *testing.T) {
 	}
 	for i := range want {
 		if toAlignResult(want[i], false) != resp.Results[i] {
-			t.Fatalf("pair %d: multi-served %+v != cpu %+v", i, resp.Results[i], want[i])
+			t.Fatalf("pair %d: gpu-served %+v != cpu %+v", i, resp.Results[i], want[i])
 		}
+	}
+
+	status, body = doJSON(t, ts.Client(), "GET", ts.URL+"/backends", nil)
+	if status != http.StatusOK {
+		t.Fatalf("/backends status %d", status)
+	}
+	var backends struct {
+		Active struct {
+			Name string `json:"name"`
+		} `json:"active"`
+	}
+	if err := json.Unmarshal(body, &backends); err != nil {
+		t.Fatal(err)
+	}
+	if backends.Active.Name != "gpu" {
+		t.Fatalf("/backends active %q, want gpu", backends.Active.Name)
 	}
 
 	status, body = doJSON(t, ts.Client(), "GET", ts.URL+"/metrics", nil)
@@ -787,18 +802,18 @@ func TestServerOnMultiBackend(t *testing.T) {
 		t.Fatalf("/metrics status %d", status)
 	}
 	var snap struct {
-		Backend  string                `json:"backend"`
-		Batches  uint64                `json:"backend_batches_total"`
-		Children []genasm.BackendStats `json:"backend_children"`
+		Backend    string           `json:"backend"`
+		Batches    uint64           `json:"backend_batches_total"`
+		LastLaunch *genasm.GPUStats `json:"backend_gpu_last_launch"`
 	}
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Backend != "multi(cpu,gpu)" {
+	if snap.Backend != "gpu" {
 		t.Fatalf("metrics backend %q", snap.Backend)
 	}
-	if snap.Batches == 0 || len(snap.Children) != 2 {
-		t.Fatalf("backend metrics batches=%d children=%+v", snap.Batches, snap.Children)
+	if snap.Batches == 0 || snap.LastLaunch == nil || snap.LastLaunch.Seconds <= 0 {
+		t.Fatalf("backend metrics batches=%d last launch=%+v", snap.Batches, snap.LastLaunch)
 	}
 }
 
