@@ -52,6 +52,7 @@ type Aligner struct {
 	tRev     []byte
 	rows     [][]uint64
 	col      []uint64
+	cg       cigar.Cigar // read-level CIGAR scratch; Results get an exact-size copy
 }
 
 // New returns an Aligner for cfg.
@@ -73,7 +74,13 @@ func (a *Aligner) Align(query, ref []byte) (core.Result, error) {
 // AlignEncoded aligns pre-encoded base-code sequences using the shared
 // GenASM windowing pipeline.
 func (a *Aligner) AlignEncoded(query, ref []byte) (core.Result, error) {
-	return core.AlignWindowed(query, ref, a.cfg.W, a.cfg.O, a.AlignWindow)
+	res, err := core.AlignWindowed(a.cg[:0], query, ref, a.cfg.W, a.cfg.O, a.alignWindow)
+	if err != nil {
+		return core.Result{}, err
+	}
+	a.cg = res.Cigar
+	res.Cigar = res.Cigar.Clone()
+	return res, nil
 }
 
 const (
@@ -86,12 +93,23 @@ const (
 // AlignWindow aligns one pattern window against one text window (base
 // codes, forward orientation) with the unimproved algorithm.
 func (a *Aligner) AlignWindow(p, t []byte) (core.WindowResult, error) {
+	cg, d, used, err := a.alignWindow(a.cg[:0], p, t, len(p))
+	if err != nil {
+		return core.WindowResult{}, err
+	}
+	a.cg = cg
+	return core.WindowResult{Distance: d, Cigar: cg.Clone(), TextUsed: used}, nil
+}
+
+// alignWindow is the pipeline's core.WindowFunc: it aligns the window and
+// appends the alignment of p's first commit bases to dst.
+func (a *Aligner) alignWindow(dst cigar.Cigar, p, t []byte, commit int) (cigar.Cigar, int, int, error) {
 	m, n := len(p), len(t)
 	if m == 0 {
-		return core.WindowResult{}, nil
+		return dst, 0, 0, nil
 	}
 	if m > 64 {
-		return core.WindowResult{}, fmt.Errorf("baseline: window %d wider than one word", m)
+		return dst, 0, 0, fmt.Errorf("baseline: window %d wider than one word", m)
 	}
 	a.pRev = reverseInto(a.pRev[:0], p)
 	a.tRev = reverseInto(a.tRev[:0], t)
@@ -116,32 +134,20 @@ func (a *Aligner) AlignWindow(p, t []byte) (core.WindowResult, error) {
 		return (^uint64(0) << uint(d)) | high
 	}
 
-	k := a.cfg.InitialK
-	if k > m {
-		k = m
-	}
+	k := min(a.cfg.InitialK, m)
 	for {
 		dStar := a.dc(pm[:], initRow, high, n, m, k)
 		a.counters.AddRows(uint64(k+1), 0)
 		if dStar >= 0 {
-			cg, used, err := a.traceback(pm[:], n, m, dStar)
+			dst, cost, used, err := a.traceback(dst, n, m, dStar, commit)
 			a.counters.EndWindow()
-			if err != nil {
-				return core.WindowResult{}, err
-			}
-			if got := cg.EditCost(); got != dStar {
-				return core.WindowResult{}, fmt.Errorf("baseline: traceback cost %d != distance %d", got, dStar)
-			}
-			return core.WindowResult{Distance: dStar, Cigar: cg, TextUsed: used}, nil
+			return dst, cost, used, err
 		}
 		a.counters.EndWindow()
 		if k >= m {
-			return core.WindowResult{}, fmt.Errorf("baseline: window unsolved at k=m=%d", m)
+			return dst, 0, 0, fmt.Errorf("baseline: window unsolved at k=m=%d", m)
 		}
-		k *= 2
-		if k > m {
-			k = m
-		}
+		k = min(2*k, m)
 	}
 }
 
@@ -198,46 +204,67 @@ func (a *Aligner) dc(pm []uint64, initRow func(int) uint64, high uint64, n, m, k
 
 // traceback mirrors the improved traceback's edge priority (match,
 // substitution, deletion, insertion) but reads the stored edge vectors
-// directly, as GenASM-TB does.
-func (a *Aligner) traceback(pm []uint64, n, m, dStar int) (cigar.Cigar, int, error) {
-	var cg cigar.Cigar
+// directly, as GenASM-TB does. Like the improved traceback it stops once
+// the window's first commit pattern bases are emitted, appends them to dst,
+// and returns the committed cost (d* minus the level it stops at) and the
+// text consumed.
+func (a *Aligner) traceback(dst cigar.Cigar, n, m, dStar, commit int) (cigar.Cigar, int, int, error) {
 	i, j, d := n, m-1, dStar
+	stop := m - 1 - commit
 	edge := func(e int) uint64 {
 		a.counters.AddRead(1, 8)
 		return a.rows[d][4*(i-1)+e] >> uint(j) & 1
 	}
-	for j >= 0 {
+	for j > stop {
 		if i >= 1 && edge(edgeM) == 0 {
-			cg = cg.Append(cigar.Match, 1)
+			dst = dst.Append(cigar.Match, 1)
 			i, j = i-1, j-1
 			continue
 		}
 		if d >= 1 {
 			if i >= 1 {
 				if edge(edgeS) == 0 {
-					cg = cg.Append(cigar.Mismatch, 1)
+					dst = dst.Append(cigar.Mismatch, 1)
 					i, j, d = i-1, j-1, d-1
 					continue
 				}
 				if edge(edgeD) == 0 {
-					cg = cg.Append(cigar.Ins, 1)
+					dst = dst.Append(cigar.Ins, 1)
 					j, d = j-1, d-1
 					continue
 				}
 				if edge(edgeI) == 0 {
-					cg = cg.Append(cigar.Del, 1)
+					dst = dst.Append(cigar.Del, 1)
 					i, d = i-1, d-1
 					continue
 				}
 			} else if j < d {
-				cg = cg.Append(cigar.Ins, 1)
+				dst = dst.Append(cigar.Ins, 1)
 				j, d = j-1, d-1
 				continue
 			}
 		}
-		return nil, 0, fmt.Errorf("baseline: traceback stuck at i=%d j=%d d=%d", i, j, d)
+		return dst, 0, 0, fmt.Errorf("baseline: traceback stuck at i=%d j=%d d=%d", i, j, d)
 	}
-	return cg, n - i, nil
+	if j < 0 {
+		if d != 0 {
+			return dst, 0, 0, fmt.Errorf("baseline: traceback cost %d != distance %d", dStar-d, dStar)
+		}
+	} else if !a.live(i, j, d) {
+		return dst, 0, 0, fmt.Errorf("baseline: bounded traceback stopped on inactive state i=%d j=%d d=%d", i, j, d)
+	}
+	return dst, dStar - d, n - i, nil
+}
+
+// live reports whether state (i, j, d) is active in the stored edge table,
+// without counting the reads: the AND of its four edges, or in the initial
+// column, whether j+1 deletions fit in d.
+func (a *Aligner) live(i, j, d int) bool {
+	if i == 0 {
+		return j < d
+	}
+	e := a.rows[d][4*(i-1):]
+	return (e[edgeM]&e[edgeS]&e[edgeD]&e[edgeI])>>uint(j)&1 == 0
 }
 
 func reverseInto(dst, src []byte) []byte {

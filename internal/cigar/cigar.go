@@ -225,6 +225,15 @@ func (c Cigar) Check(query, ref []byte) error {
 	return nil
 }
 
+// Clone returns an exact-size copy of c, nil when c is empty, so a result
+// built in a reusable buffer can be handed out without aliasing it.
+func (c Cigar) Clone() Cigar {
+	if len(c) == 0 {
+		return nil
+	}
+	return append(make(Cigar, 0, len(c)), c...)
+}
+
 // Reverse returns the alignment read back-to-front (ops and runs reversed).
 // Reversing twice yields the original canonical form.
 func (c Cigar) Reverse() Cigar {

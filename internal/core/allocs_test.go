@@ -6,9 +6,10 @@ import (
 )
 
 // Steady-state allocation regression tests. The kernels keep all DP
-// state in per-aligner scratch (scratch64, mwScratch), so after warm-up
-// an alignment should allocate only the result cigar — never automaton
-// rows, masks, or table entries. These tests pin measured upper bounds;
+// state in per-aligner scratch (tableScratch, mwScratch) and build the
+// read-level CIGAR in a reusable buffer, so after warm-up an alignment
+// should allocate only the exact-size copy of the CIGAR its Result hands
+// out — never automaton rows, masks, table entries or per-window cigars. These tests pin measured upper bounds;
 // a regression here means a scratch-reuse path was broken (for example
 // an ensureV call replaced by a fresh newVec, or table rows no
 // longer recycled across windows).
@@ -46,15 +47,16 @@ func measureAllocs(t *testing.T, warm, fn func()) float64 {
 
 // TestWindowKernelAllocs pins the single-window kernel paths: the fast
 // 64-bit path (dc64.go) and the multi-word path (multiword.go). The
-// only steady-state allocations are the traceback's result cigar.
+// only steady-state allocation is the Result's copy of the cigar.
 func TestWindowKernelAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		w, o, k int
 		max     float64
 	}{
-		// Measured 1.0: the preallocated result cigar. The banded stored
-		// table, masks and working rows all live in tableScratch/mwScratch.
+		// Measured 1.0: the Result's cigar copy. The banded stored table,
+		// masks, working rows and the traceback's cigar buffer all live in
+		// the aligner's scratch.
 		{"dc64", 64, 24, 12, 2},
 		// Measured 1.0: same — the fused kernel and packed band extraction
 		// reuse the shared tableScratch across windows.
@@ -124,20 +126,23 @@ func TestMultiwordDENTWordsStored(t *testing.T) {
 }
 
 // TestPipelineAllocs pins the full windowed pipeline (AlignWindowed over
-// a 1 kb read). Per-window cigar commits (Append/Slice/Concat) dominate;
-// the kernels themselves contribute almost nothing.
+// a 1 kb read). Every window's commit-bounded traceback appends straight
+// into the aligner's read-level CIGAR buffer, so the only allocation per
+// read is the Result's exact-size copy of it.
 func TestPipelineAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		w, o, k int
 		max     float64
 	}{
-		// Measured 89.0 across ~25 windows (was 159 before the table moved
-		// into tableScratch and the tracebacks preallocated their cigars).
-		{"dc64", 64, 24, 12, 140},
-		// Measured 54.0 across ~12 windows (was 1091 before mwScratch
-		// capacity reuse tolerated the final partial window's smaller m).
-		{"multiword", 128, 48, 12, 90},
+		// Measured 1.0 across ~25 windows (was 89 while each window traced
+		// into its own cigar and the pipeline stitched them with
+		// Slice/Concat, and 159 before the table moved into tableScratch).
+		{"dc64", 64, 24, 12, 2},
+		// Measured 1.0 across ~12 windows (was 54 with per-window cigars,
+		// and 1091 before mwScratch capacity reuse tolerated the final
+		// partial window's smaller m).
+		{"multiword", 128, 48, 12, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, txt := allocPair(1000, 0.02, 42)

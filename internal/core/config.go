@@ -36,7 +36,9 @@ type Config struct {
 	// InitialK is the per-window error budget. When a window's edit
 	// distance exceeds the current budget, the budget is doubled (up to
 	// the window length, where a solution always exists) and the window
-	// is recomputed, as in Edlib's band doubling.
+	// is retried, as in Edlib's band doubling. The retry resumes above
+	// the rows the failed attempt stored where the stored rows do not
+	// depend on the budget (entry storage, unpacked).
 	InitialK int
 	// The three improvements. DisableX names keep the zero value the
 	// paper's full configuration.

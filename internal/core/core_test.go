@@ -362,10 +362,10 @@ func TestPipelineNoisyReadsValidAndNearOptimal(t *testing.T) {
 }
 
 func TestPipelineWindowGeometryErrors(t *testing.T) {
-	if _, err := AlignWindowed(nil, nil, 0, 0, nil); err == nil {
+	if _, err := AlignWindowed(nil, nil, nil, 0, 0, nil); err == nil {
 		t.Error("accepted W=0")
 	}
-	if _, err := AlignWindowed(nil, nil, 10, 10, nil); err == nil {
+	if _, err := AlignWindowed(nil, nil, nil, 10, 10, nil); err == nil {
 		t.Error("accepted O=W")
 	}
 }
@@ -455,5 +455,107 @@ func TestAlignHandlesNBases(t *testing.T) {
 	}
 	if res.Distance != 2 {
 		t.Fatalf("distance %d want 2", res.Distance)
+	}
+}
+
+// TestResumedRetryCounters pins the budget-doubling retry on windows whose
+// distance exceeds the budget several times over. Each retry continues at
+// row k_old+1, so with ET on the window computes exactly rows 0..d* once,
+// and stores each once. Every attempt still counts as a window whose
+// footprint charges all the rows its table holds, retained ones included,
+// at that attempt's band width, which keeps the footprint what a restarting
+// kernel reports. The CIGAR must equal a single attempt's at the final
+// budget, which computes every row from scratch.
+func TestResumedRetryCounters(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    int
+		cfg  Config
+	}{
+		// Single-word, DENT banded: bands 11, 19, 35 bits at k = 4, 8, 16.
+		{"dc64", 24, Config{W: 64, O: 24, InitialK: 4}},
+		// Multi-word with unpacked entry rows (DENT off): every attempt
+		// charges m bits per entry.
+		{"multiword-unpacked", 100, Config{W: 128, O: 24, InitialK: 4, DisableDENT: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			p, tx := randCodes(rng, tc.m), randCodes(rng, tc.m+6) // unrelated text
+			a := mustAligner(t, tc.cfg)
+			var c stats.Counters
+			a.SetCounters(&c)
+			wr, err := a.AlignWindow(p, tx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dStar, n := wr.Distance, len(tx)
+			entryBits := func(k int) uint64 {
+				switch {
+				case tc.cfg.DisableDENT:
+					return uint64(tc.m)
+				case 2*k+3 <= 64:
+					return uint64(2*k + 3)
+				}
+				return 64
+			}
+			var attempts, wantFootprint uint64
+			k := tc.cfg.InitialK
+			for ; k < dStar; k = min(2*k, tc.m) {
+				attempts++
+				wantFootprint += uint64(k+1) * uint64(n) * entryBits(k)
+			}
+			if attempts < 2 {
+				t.Fatalf("fixture d*=%d forces %d doublings from k=%d, want >= 2", dStar, attempts, tc.cfg.InitialK)
+			}
+			wantFootprint += uint64(dStar+1) * uint64(n) * entryBits(k)
+
+			if c.RowsComputed != uint64(dStar+1) {
+				t.Errorf("RowsComputed %d, want d*+1 = %d", c.RowsComputed, dStar+1)
+			}
+			if c.RowsSkipped != uint64(k-dStar) {
+				t.Errorf("RowsSkipped %d, want k-d* = %d", c.RowsSkipped, k-dStar)
+			}
+			if c.Windows != attempts+1 {
+				t.Errorf("Windows %d, want one per attempt = %d", c.Windows, attempts+1)
+			}
+			if c.TotalFootprintBits != wantFootprint {
+				t.Errorf("TotalFootprintBits %d, want %d", c.TotalFootprintBits, wantFootprint)
+			}
+
+			once := tc.cfg
+			once.InitialK = k
+			want, err := mustAligner(t, once).AlignWindow(p, tx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wr.Distance != want.Distance || wr.TextUsed != want.TextUsed || wr.Cigar.String() != want.Cigar.String() {
+				t.Errorf("resumed %d/%d %q, single attempt at k=%d %d/%d %q",
+					wr.Distance, wr.TextUsed, wr.Cigar, k, want.Distance, want.TextUsed, want.Cigar)
+			}
+		})
+	}
+}
+
+// TestResultsDoNotAliasScratch checks that the CIGAR a Result carries is
+// its own: the read-level CIGAR is built in the aligner's scratch, and a
+// later call must not rewrite an earlier Result.
+func TestResultsDoNotAliasScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	a := mustAligner(t, DefaultConfig())
+	origin := randCodes(rng, 700)
+	read := mutateCodes(rng, origin, 0.1)
+	first, err := a.AlignEncoded(read, origin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := first.Cigar.String()
+	if _, err := a.AlignEncoded(randCodes(rng, 700), randCodes(rng, 750)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.AlignWindow(randCodes(rng, 64), randCodes(rng, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if got := first.Cigar.String(); got != want {
+		t.Fatalf("first Result's CIGAR changed by later calls:\n got %s\nwant %s", got, want)
 	}
 }

@@ -61,26 +61,39 @@ func (mk *masks64) initRow(d int) uint64 {
 // each text position costs exactly one load and one store of DP state.
 // Edge mode keeps separate working rows, since its stored vectors are the
 // four edges rather than the ANDed entries.
-func dc64(mk *masks64, tRev []byte, k int, cfg Config, scratch *tableScratch, c *stats.Counters) (*table, int, bool) {
+//
+// resume marks a budget-doubling retry of the window the table already
+// holds. Stored entry rows are full automaton words whatever k is (DENT
+// applies the band only when rows are read), so a retry keeps the failed
+// attempt's rows 0..k_old and continues at row k_old+1: no row of a window
+// is computed twice. Edge rows are recomputed. The footprint still charges
+// every row the attempt's table holds, retained ones included, at this
+// attempt's band width.
+func dc64(mk *masks64, tRev []byte, k int, resume bool, cfg Config, scratch *tableScratch, c *stats.Counters) (*table, int, bool) {
 	m, n := mk.m, len(tRev)
 	t := &scratch.tbl
+	from := 0
+	if resume && t.entries {
+		from = len(t.rows)
+	}
 	*t = table{
 		m: m, n: n, k: k,
 		entries: !cfg.DisableSENE,
 		banded:  !cfg.DisableDENT && 2*k+3 <= 64,
 		wpe:     1,
 		stride:  1,
-		rows:    scratch.rows[:0],
+		rows:    scratch.rows[:from],
 	}
 	t.storeBytes = 8
-	entryBits := uint64(64)
+	rowBits := uint64(64) * uint64(n)
 	if t.banded {
 		t.bandB = 2*k + 3
-		entryBits = uint64(t.bandB)
+		rowBits = uint64(t.bandB) * uint64(n)
 		t.storeBytes = uint64(t.bandB+7) / 8
 	}
 	if !t.entries {
 		t.stride = 4
+		rowBits = uint64(4*64) * uint64(n)
 	}
 
 	high := mk.high
@@ -90,7 +103,7 @@ func dc64(mk *masks64, tRev []byte, k int, cfg Config, scratch *tableScratch, c 
 		rowCur = scratch.row(1, n+1)
 	}
 	solved := -1
-	for d := 0; d <= k; d++ {
+	for d := from; d <= k; d++ {
 		drow := scratch.tableRow(d, t.stride*n)
 		var last uint64
 		if t.entries {
@@ -114,7 +127,6 @@ func dc64(mk *masks64, tRev []byte, k int, cfg Config, scratch *tableScratch, c 
 			}
 			last = prev
 			c.AddWrite(uint64(n), t.storeBytes)
-			c.AddFootprint(uint64(n) * entryBits)
 		} else {
 			prev := mk.initRow(d)
 			rowCur[0] = prev
@@ -138,7 +150,6 @@ func dc64(mk *masks64, tRev []byte, k int, cfg Config, scratch *tableScratch, c 
 			}
 			last = prev
 			c.AddWrite(uint64(4*n), 8)
-			c.AddFootprint(uint64(4*n) * 64)
 			rowPrev, rowCur = rowCur, rowPrev
 		}
 		//lint:allow hotalloc appends into the scratch-backed rows slice; amortized to zero across windows
@@ -146,26 +157,32 @@ func dc64(mk *masks64, tRev []byte, k int, cfg Config, scratch *tableScratch, c 
 		if solved < 0 && last>>uint(m-1)&1 == 0 {
 			solved = d
 			if !cfg.DisableET {
-				c.AddRows(uint64(d+1), uint64(k-d))
-				scratch.rows = t.rows
-				return t, d, true
+				break
 			}
 		}
 	}
 	scratch.rows = t.rows
-	c.AddRows(uint64(len(t.rows)), 0)
-	if solved >= 0 {
-		return t, solved, true
+	stored := len(t.rows)
+	c.AddRows(uint64(stored-from), uint64(k+1-stored))
+	c.AddFootprint(uint64(stored) * rowBits)
+	if solved < 0 {
+		return t, 0, false
 	}
-	return t, 0, false
+	return t, solved, true
 }
 
 // traceback64 walks the stored table from the solved state (text fully
-// processed, whole pattern matched, error level d*) back to the start of
-// the pattern, emitting alignment operations. Because both window strings
-// are reversed, the operations come out in forward order of the original
-// window. It returns the alignment and the number of text characters the
-// pattern consumed.
+// processed, whole pattern matched, error level d*) back toward the start
+// of the pattern, appending alignment operations to dst. Because both
+// window strings are reversed, the operations come out in forward order of
+// the original window, so they extend the read-level CIGAR directly: the
+// first append merges with dst's last run, as cigar.Concat would.
+//
+// The walk stops once the window's first commit pattern bases are emitted
+// (commit == m walks the whole window), so the overlap a later window
+// re-aligns is never traced. It returns the extended CIGAR, the committed
+// edit cost (d* minus the level the walk stops at) and the number of text
+// characters the committed part consumed.
 //
 // Edge priority is match, substitution, deletion (pattern-only: a query
 // insertion in CIGAR terms), insertion (text-only: a query deletion). Every
@@ -174,69 +191,72 @@ func dc64(mk *masks64, tRev []byte, k int, cfg Config, scratch *tableScratch, c 
 // are followed to their end before emitting, so the common case (long
 // stretches of agreement between pattern and text) costs one run-length
 // append instead of one per base.
-func traceback64(t *table, mk *masks64, tRev []byte, dStar int, c *stats.Counters) (cigar.Cigar, int, error) {
-	cg := make(cigar.Cigar, 0, 2*dStar+2) // <= 2*d*+1 runs: each edit breaks at most one match run
+func traceback64(dst cigar.Cigar, t *table, mk *masks64, tRev []byte, dStar, commit int, c *stats.Counters) (cigar.Cigar, int, int, error) {
 	i, j, d := t.n, t.m-1, dStar
-	for j >= 0 {
+	stop := t.m - 1 - commit // j once commit pattern bases are emitted
+	for j > stop {
 		if t.entries {
 			if i >= 1 && mk.pm[tRev[i-1]]>>uint(j)&1 == 0 && t.entryBit(d, i-1, j-1, c) == 0 {
 				run := 1
 				i, j = i-1, j-1
-				for i >= 1 && j >= 0 && mk.pm[tRev[i-1]]>>uint(j)&1 == 0 && t.entryBit(d, i-1, j-1, c) == 0 {
+				for i >= 1 && j > stop && mk.pm[tRev[i-1]]>>uint(j)&1 == 0 && t.entryBit(d, i-1, j-1, c) == 0 {
 					run++
 					i, j = i-1, j-1
 				}
-				cg = cg.Append(cigar.Match, run)
+				dst = dst.Append(cigar.Match, run)
 				continue
 			}
 			if d >= 1 {
 				if i >= 1 && t.entryBit(d-1, i-1, j-1, c) == 0 {
-					cg = cg.Append(cigar.Mismatch, 1)
+					dst = dst.Append(cigar.Mismatch, 1)
 					i, j, d = i-1, j-1, d-1
 					continue
 				}
 				if t.entryBit(d-1, i, j-1, c) == 0 {
-					cg = cg.Append(cigar.Ins, 1)
+					dst = dst.Append(cigar.Ins, 1)
 					j, d = j-1, d-1
 					continue
 				}
 				if i >= 1 && t.entryBit(d-1, i-1, j, c) == 0 {
-					cg = cg.Append(cigar.Del, 1)
+					dst = dst.Append(cigar.Del, 1)
 					i, d = i-1, d-1
 					continue
 				}
 			}
 		} else {
 			if i >= 1 && t.edgeBit(edgeM, d, i, j, c) == 0 {
-				cg = cg.Append(cigar.Match, 1)
+				dst = dst.Append(cigar.Match, 1)
 				i, j = i-1, j-1
 				continue
 			}
 			if d >= 1 {
 				if i >= 1 {
 					if t.edgeBit(edgeS, d, i, j, c) == 0 {
-						cg = cg.Append(cigar.Mismatch, 1)
+						dst = dst.Append(cigar.Mismatch, 1)
 						i, j, d = i-1, j-1, d-1
 						continue
 					}
 					if t.edgeBit(edgeD, d, i, j, c) == 0 {
-						cg = cg.Append(cigar.Ins, 1)
+						dst = dst.Append(cigar.Ins, 1)
 						j, d = j-1, d-1
 						continue
 					}
 					if t.edgeBit(edgeI, d, i, j, c) == 0 {
-						cg = cg.Append(cigar.Del, 1)
+						dst = dst.Append(cigar.Del, 1)
 						i, d = i-1, d-1
 						continue
 					}
 				} else if j < d { // initial column: deletions only
-					cg = cg.Append(cigar.Ins, 1)
+					dst = dst.Append(cigar.Ins, 1)
 					j, d = j-1, d-1
 					continue
 				}
 			}
 		}
-		return nil, 0, fmt.Errorf("core: traceback stuck at i=%d j=%d d=%d (table %dx%d k=%d)", i, j, d, t.n, t.m, t.k)
+		return dst, 0, 0, fmt.Errorf("core: traceback stuck at i=%d j=%d d=%d (table %dx%d k=%d)", i, j, d, t.n, t.m, t.k)
 	}
-	return cg, t.n - i, nil
+	if err := t.checkWalkEnd(i, j, d, dStar); err != nil {
+		return dst, 0, 0, err
+	}
+	return dst, dStar - d, t.n - i, nil
 }

@@ -100,20 +100,27 @@ func (s *mwScratch) prepare(m, n int) {
 	ensureV(&s.tI, m)
 }
 
-// alignWindowMW aligns the reversed window buffers of w at error budget k.
-// The masks in w.mw.mk must already be built for the current pattern.
-func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error) {
+// dcMW runs the distance calculation for the reversed window buffers of w
+// at error budget k and returns the stored table and d*, or ok=false if
+// the distance exceeds k. The masks in w.mw.mk must already be built for
+// the current pattern.
+//
+// A budget-doubling retry (resume) continues above the failed attempt's
+// rows, as dc64 does, when both attempts store unpacked entries: those
+// rows are full automaton states whatever k is, and the working rows still
+// hold R[k_old]. Packed bands and edges depend on k and are recomputed.
+func (w *windowAligner) dcMW(k int, resume bool) (*table, int, bool) {
 	mk := &w.mw.mk
 	m, n := mk.m, len(w.tRevBuf)
 	cfg := w.cfg
 	wpe := wordsFor(m)
 	t := &w.ts.tbl
+	prevEntries, prevPacked := t.entries, t.packed
 	*t = table{
 		m: m, n: n, k: k,
 		entries: !cfg.DisableSENE,
 		banded:  !cfg.DisableDENT,
 		wpe:     wpe,
-		rows:    w.ts.rows[:0],
 	}
 	entryBits := uint64(m)
 	t.stride = wpe
@@ -129,13 +136,19 @@ func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error
 	}
 	if !t.entries {
 		t.stride = 4 * wpe
+		entryBits = 4 * uint64(m)
 	}
+	from := 0
+	if resume && prevEntries && !prevPacked && t.entries && !t.packed {
+		from = len(w.ts.rows)
+	}
+	t.rows = w.ts.rows[:from]
 
 	w.mw.prepare(m, n)
 	rowPrev, rowCur := w.mw.rowPrev, w.mw.rowCur
 
 	solved := -1
-	for d := 0; d <= k; d++ {
+	for d := from; d <= k; d++ {
 		mk.initRowInto(rowCur[0], d)
 		drow := w.ts.tableRow(d, t.stride*n)
 		if t.entries {
@@ -179,7 +192,6 @@ func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error
 			} else {
 				w.counters.AddWrite(uint64(n*wpe), 8)
 			}
-			w.counters.AddFootprint(uint64(n) * entryBits)
 		} else {
 			for i := 1; i <= n; i++ {
 				pmt := mk.pm[w.tRevBuf[i-1]]
@@ -206,94 +218,101 @@ func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error
 				}
 			}
 			w.counters.AddWrite(uint64(4*n*wpe), 8)
-			w.counters.AddFootprint(uint64(n) * 4 * uint64(m))
 		}
 		//lint:allow hotalloc appends into the scratch-backed rows slice; amortized to zero across windows
 		t.rows = append(t.rows, drow)
 		if solved < 0 && rowCur[n].bit(m-1) == 0 {
 			solved = d
 			if !cfg.DisableET {
-				w.counters.AddRows(uint64(d+1), uint64(k-d))
-				w.ts.rows = t.rows
-				cg, used, err := w.tracebackMW(t, mk, d)
-				return d, cg, used, true, err
+				break
 			}
 		}
 		rowPrev, rowCur = rowCur, rowPrev
 	}
+	// The working row of the last level computed stays in rowPrev for a
+	// resumed retry (a solved window is never retried).
+	w.mw.rowPrev, w.mw.rowCur = rowPrev, rowCur
 	w.ts.rows = t.rows
-	w.counters.AddRows(uint64(len(t.rows)), 0)
+	stored := len(t.rows)
+	w.counters.AddRows(uint64(stored-from), uint64(k+1-stored))
+	w.counters.AddFootprint(uint64(stored) * uint64(n) * entryBits)
 	if solved < 0 {
-		return 0, nil, 0, false, nil
+		return t, 0, false
 	}
-	cg, used, err := w.tracebackMW(t, mk, solved)
-	return solved, cg, used, true, err
+	return t, solved, true
 }
 
-func (w *windowAligner) tracebackMW(t *table, mk *masksMW, dStar int) (cigar.Cigar, int, error) {
-	cg := make(cigar.Cigar, 0, 2*dStar+2)
+// tracebackMW is traceback64 for multi-word windows: it appends the
+// alignment of the first commit pattern bases to dst and returns the
+// extended CIGAR, the committed cost and the text consumed.
+func (w *windowAligner) tracebackMW(dst cigar.Cigar, t *table, dStar, commit int) (cigar.Cigar, int, int, error) {
+	mk := &w.mw.mk
 	i, j, d := t.n, t.m-1, dStar
+	stop := t.m - 1 - commit
 	c := w.counters
-	for j >= 0 {
+	for j > stop {
 		if t.entries {
 			if i >= 1 && mk.pm[w.tRevBuf[i-1]].bit(j) == 0 && t.entryBit(d, i-1, j-1, c) == 0 {
 				run := 1
 				i, j = i-1, j-1
-				for i >= 1 && j >= 0 && mk.pm[w.tRevBuf[i-1]].bit(j) == 0 && t.entryBit(d, i-1, j-1, c) == 0 {
+				for i >= 1 && j > stop && mk.pm[w.tRevBuf[i-1]].bit(j) == 0 && t.entryBit(d, i-1, j-1, c) == 0 {
 					run++
 					i, j = i-1, j-1
 				}
-				cg = cg.Append(cigar.Match, run)
+				dst = dst.Append(cigar.Match, run)
 				continue
 			}
 			if d >= 1 {
 				if i >= 1 && t.entryBit(d-1, i-1, j-1, c) == 0 {
-					cg = cg.Append(cigar.Mismatch, 1)
+					dst = dst.Append(cigar.Mismatch, 1)
 					i, j, d = i-1, j-1, d-1
 					continue
 				}
 				if t.entryBit(d-1, i, j-1, c) == 0 {
-					cg = cg.Append(cigar.Ins, 1)
+					dst = dst.Append(cigar.Ins, 1)
 					j, d = j-1, d-1
 					continue
 				}
 				if i >= 1 && t.entryBit(d-1, i-1, j, c) == 0 {
-					cg = cg.Append(cigar.Del, 1)
+					dst = dst.Append(cigar.Del, 1)
 					i, d = i-1, d-1
 					continue
 				}
 			}
 		} else {
 			if i >= 1 && t.edgeBit(edgeM, d, i, j, c) == 0 {
-				cg = cg.Append(cigar.Match, 1)
+				dst = dst.Append(cigar.Match, 1)
 				i, j = i-1, j-1
 				continue
 			}
 			if d >= 1 {
 				if i >= 1 {
 					if t.edgeBit(edgeS, d, i, j, c) == 0 {
-						cg = cg.Append(cigar.Mismatch, 1)
+						dst = dst.Append(cigar.Mismatch, 1)
 						i, j, d = i-1, j-1, d-1
 						continue
 					}
 					if t.edgeBit(edgeD, d, i, j, c) == 0 {
-						cg = cg.Append(cigar.Ins, 1)
+						dst = dst.Append(cigar.Ins, 1)
 						j, d = j-1, d-1
 						continue
 					}
 					if t.edgeBit(edgeI, d, i, j, c) == 0 {
-						cg = cg.Append(cigar.Del, 1)
+						dst = dst.Append(cigar.Del, 1)
 						i, d = i-1, d-1
 						continue
 					}
 				} else if j < d {
-					cg = cg.Append(cigar.Ins, 1)
+					dst = dst.Append(cigar.Ins, 1)
 					j, d = j-1, d-1
 					continue
 				}
 			}
 		}
-		return nil, 0, fmt.Errorf("core: multiword traceback stuck at i=%d j=%d d=%d", i, j, d)
+		return dst, 0, 0, fmt.Errorf("core: multiword traceback stuck at i=%d j=%d d=%d", i, j, d)
 	}
-	return cg, t.n - i, nil
+	if err := t.checkWalkEnd(i, j, d, dStar); err != nil {
+		return dst, 0, 0, err
+	}
+	return dst, dStar - d, t.n - i, nil
 }

@@ -1,6 +1,10 @@
 package core
 
-import "genasm/internal/stats"
+import (
+	"fmt"
+
+	"genasm/internal/stats"
+)
 
 // table is the stored DP working set of one window: everything the traceback
 // is allowed to read, laid out as flat little-endian uint64 rows shared by
@@ -82,6 +86,39 @@ const (
 func (t *table) edgeBit(e, d, i, j int, c *stats.Counters) uint64 {
 	c.AddRead(1, 8)
 	return t.rows[d][(4*(i-1)+e)*t.wpe+j>>6] >> (uint(j) & 63) & 1
+}
+
+// live reports whether state R[d][i] bit j is active in the stored table,
+// without counting the reads: entry tables answer from the stored entry,
+// edge tables from the AND of the four stored edges.
+func (t *table) live(d, i, j int) bool {
+	switch {
+	case t.entries:
+		return t.entryBit(d, i, j, nil) == 0
+	case j < 0:
+		return true
+	case i == 0:
+		return j < d
+	}
+	return t.edgeBit(edgeM, d, i, j, nil)&t.edgeBit(edgeS, d, i, j, nil)&
+		t.edgeBit(edgeD, d, i, j, nil)&t.edgeBit(edgeI, d, i, j, nil) == 0
+}
+
+// checkWalkEnd validates the state (i, j, d) a traceback from level dStar
+// stopped on. A walk that ran to the pattern's start must have spent the
+// whole distance; a commit-bounded walk must stand on a state the stored
+// table holds as active.
+func (t *table) checkWalkEnd(i, j, d, dStar int) error {
+	if j < 0 {
+		if d != 0 {
+			return fmt.Errorf("core: traceback cost %d != distance %d", dStar-d, dStar)
+		}
+		return nil
+	}
+	if !t.live(d, i, j) {
+		return fmt.Errorf("core: bounded traceback stopped on inactive state i=%d j=%d d=%d (table %dx%d k=%d)", i, j, d, t.n, t.m, t.k)
+	}
+	return nil
 }
 
 // extract64 returns the 64 bits [lo, lo+64) of the m-bit automaton state

@@ -34,13 +34,19 @@ type windowAligner struct {
 }
 
 // alignWindow aligns pattern p (base codes, forward orientation) against
-// text t (base codes, forward) under the window semantics above. Both
-// strings are reversed internally, following GenASM, so the traceback emits
-// operations in forward order and the free text slack lands at the tail.
-func (w *windowAligner) alignWindow(p, t []byte) (WindowResult, error) {
+// text t (base codes, forward) under the window semantics above and appends
+// the alignment of p's first commit bases to dst (commit == len(p) commits
+// the whole window). It is a WindowFunc. Both strings are reversed
+// internally, following GenASM, so the traceback emits operations in
+// forward order and the free text slack lands at the tail.
+//
+// When the distance exceeds the budget k, k doubles (up to len(p)) and the
+// retry resumes the distance calculation at row k_old+1 wherever the stored
+// rows allow it. Each attempt is accounted as one window.
+func (w *windowAligner) alignWindow(dst cigar.Cigar, p, t []byte, commit int) (cigar.Cigar, int, int, error) {
 	m, n := len(p), len(t)
 	if m == 0 {
-		return WindowResult{}, nil
+		return dst, 0, 0, nil
 	}
 	w.pRevBuf = reverseInto(w.pRevBuf[:0], p)
 	w.tRevBuf = reverseInto(w.tRevBuf[:0], t)
@@ -55,46 +61,38 @@ func (w *windowAligner) alignWindow(p, t []byte) (WindowResult, error) {
 		w.mw.mk.buildInto(w.pRevBuf)
 	}
 
-	k := w.cfg.InitialK
-	if k > m {
-		k = m
-	}
-	for {
+	k := min(w.cfg.InitialK, m)
+	for resume := false; ; resume = true {
 		var (
-			d    int
-			cg   cigar.Cigar
-			used int
-			ok   bool
-			err  error
+			tbl *table
+			d   int
+			ok  bool
 		)
 		if single {
-			var tbl *table
-			tbl, d, ok = dc64(&mk64, w.tRevBuf, k, w.cfg, &w.ts, w.counters)
-			if ok {
-				cg, used, err = traceback64(tbl, &mk64, w.tRevBuf, d, w.counters)
-			}
+			tbl, d, ok = dc64(&mk64, w.tRevBuf, k, resume, w.cfg, &w.ts, w.counters)
 		} else {
-			d, cg, used, ok, err = w.alignWindowMW(k)
-		}
-		w.counters.EndWindow()
-		if err != nil {
-			return WindowResult{}, err
+			tbl, d, ok = w.dcMW(k, resume)
 		}
 		if ok {
-			if got := cg.EditCost(); got != d {
-				return WindowResult{}, fmt.Errorf("core: traceback cost %d != distance %d", got, d)
+			var (
+				cost, used int
+				err        error
+			)
+			if single {
+				dst, cost, used, err = traceback64(dst, tbl, &mk64, w.tRevBuf, d, commit, w.counters)
+			} else {
+				dst, cost, used, err = w.tracebackMW(dst, tbl, d, commit)
 			}
-			return WindowResult{Distance: d, Cigar: cg, TextUsed: used}, nil
+			w.counters.EndWindow()
+			return dst, cost, used, err
 		}
+		w.counters.EndWindow()
 		if k >= m {
 			// Unreachable: at k = m the all-deletion solution always
 			// exists (every bit of R[m] starts active).
-			return WindowResult{}, fmt.Errorf("core: window unsolved at k=m=%d (n=%d)", m, n)
+			return dst, 0, 0, fmt.Errorf("core: window unsolved at k=m=%d (n=%d)", m, n)
 		}
-		k *= 2
-		if k > m {
-			k = m
-		}
+		k = min(2*k, m)
 	}
 }
 
